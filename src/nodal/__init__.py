@@ -33,7 +33,6 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     PositionOverTerm,
-    SchreyerOrder,
     buchberger,
     groebner_basis,
     macaulay_gb,

@@ -32,6 +32,7 @@ from .hilbert import cm_regularity_crosscheck, hilbert_function
 from .ideals import Ideal
 from .report import betti_table
 from .resolution import resolve_quotient
+from .ring import check_characteristic
 from .validators import STATEMENTS, run_statement
 
 SCHEMA = 1
@@ -370,6 +371,12 @@ def _cmd_corpus(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.prime is not None:
+        try:
+            check_characteristic(args.prime)
+        except CharacteristicError as e:
+            print(f"invalid input: --prime: {e}", file=sys.stderr)
+            return 2
     handlers = {
         "gb": _cmd_gb,
         "resolve": _cmd_resolve,

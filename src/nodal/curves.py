@@ -45,7 +45,7 @@ from .ideals import (
 )
 from .report import betti_table
 from .resolution import resolve_ideal
-from .ring import Polynomial, Ring
+from .ring import Polynomial, Ring, check_characteristic
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 32009
@@ -537,6 +537,11 @@ def parse_fixture(text: str, prime: int | None = None) -> Fixture:
             raise ParseError(f"unknown ring header token {token!r}")
     if header_p is None or names is None:
         raise ParseError("ring header needs p= and vars=")
+    if prime is None:
+        try:
+            check_characteristic(header_p)
+        except CharacteristicError as exc:
+            raise ParseError(f"bad ring header: {exc}") from None
     ring = Ring(names, p=prime if prime is not None else header_p)
 
     components: list[CurveComponent] = []

@@ -39,7 +39,10 @@ DEFAULT_DEGREE_CAP = 40
 # terms to nonzero coefficients.
 Term = tuple[int, Mono]
 
-_COMP_SHIFT = 24  # component field width inside Schreyer keys
+# Basis cache entries kept per ring, least recently used evicted first.  Above
+# the most keys any statement or corpus check fills in one ring (74, two per
+# computed basis), so eviction only bounds memory.
+BASIS_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,11 @@ class FreeModuleShape:
 
 
 class ModuleOrder:
-    """Total order on module terms, realised as an integer key."""
+    """Total order on module terms, realised as an integer key.
+
+    An order that bases are computed under has a `name` that, as for ring
+    orders, identifies it among the orders of one ring.
+    """
 
     def key(self, term: Term) -> int:  # pragma: no cover - interface
         raise NotImplementedError
@@ -78,39 +85,17 @@ class ModuleOrder:
 class PositionOverTerm(ModuleOrder):
     """Earlier components dominate; ties broken by the base ring order."""
 
-    __slots__ = ("base", "rank", "_shift")
+    __slots__ = ("base", "rank", "name", "_shift")
 
     def __init__(self, base: MonomialOrder, rank: int):
         self.base = base
         self.rank = rank
+        self.name = f"pot:{rank}:{base.name}"
         self._shift = 8 * (base.n + 2)
 
     def key(self, term: Term) -> int:
         comp, mono = term
         return ((self.rank - comp) << self._shift) | self.base.key(mono)
-
-
-class SchreyerOrder(ModuleOrder):
-    """Order induced by a list of lead terms over a base order.
-
-    Terms are compared by the base key of the monomial times the lead of their
-    component; ties go to the earlier component.  The base may be a ring order
-    wrapped in a rank-1 adapter, or itself a module order, which is how orders
-    chain along a resolution.
-    """
-
-    __slots__ = ("base", "leads", "rank")
-
-    def __init__(self, base, leads: tuple[Term, ...]):
-        self.base = base
-        self.leads = leads
-        self.rank = len(leads)
-
-    def key(self, term: Term) -> int:
-        comp, mono = term
-        lcomp, lmono = self.leads[comp]
-        base_key = self.base.key((lcomp, mono_mul(mono, lmono)))
-        return (base_key << _COMP_SHIFT) | (self.rank - comp)
 
 
 class RingOrderAdapter(ModuleOrder):
@@ -674,15 +659,64 @@ def buchberger(
     )
 
 
+def _sorted_terms(z) -> tuple:
+    """Exact canonical form of one element's terms.
+
+    Two parallel tuples in sorted term order.  They share the term and
+    coefficient objects of the element, so a cached key costs two pointers
+    per term where a frozenset of (term, coefficient) pairs would cost a new
+    pair and a hash slot.
+    """
+    terms = tuple(sorted(z.terms))
+    return terms, tuple([z.terms[t] for t in terms])
+
+
+def _generator_set(elements) -> frozenset:
+    """Canonical form of a generator list: the set of its elements' terms."""
+    return frozenset(_sorted_terms(z) for z in elements if z)
+
+
 def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Reduced Groebner basis; dispatches to the fastest valid engine."""
+    """Reduced Groebner basis; dispatches to the fastest valid engine.
+
+    Each ring caches the bases computed over it, keyed by the order's name,
+    the cap, the module shape (None for polynomials) and the generator set,
+    so every ideal or submodule named by the same generators, in any list
+    order and by any object, shares one computation.  A computed basis is
+    also stored under its own elements: an ideal built from a reduced basis
+    finds it without recomputing.
+    """
     gens = list(gens)
-    if gens and isinstance(gens[0], ModuleElement):
-        return _module_groebner(gens, order, cap, False)[0]
-    live = [f for f in gens if f]
-    if live and all(f.is_homogeneous() for f in live):
-        return macaulay_gb(live, order, cap)
-    return buchberger(gens, order, cap)
+    module = bool(gens) and isinstance(gens[0], ModuleElement)
+    live = [z for z in gens if z]
+    if not live:
+        if module:
+            return _module_groebner(gens, order, cap, False)[0]
+        return buchberger(gens, order, cap)
+    ring = live[0].ring
+    shape = live[0].shape if module else None
+    if not module:
+        order = _resolve_order(ring, order)
+    elif order is None:
+        order = PositionOverTerm(ring.grevlex, shape.rank)
+    cache = ring.basis_cache
+    key = (order.name, cap, shape, _generator_set(live))
+    gb = cache.get(key)
+    if gb is not None:
+        cache.move_to_end(key)
+        return gb
+    if module:
+        gb = _module_groebner(gens, order, cap, False)[0]
+    elif all(f.is_homogeneous() for f in live):
+        gb = macaulay_gb(live, order, cap)
+    else:
+        gb = buchberger(gens, order, cap)
+    for k in (key, (order.name, cap, shape, _generator_set(gb.elements))):
+        cache[k] = gb
+        cache.move_to_end(k)
+    while len(cache) > BASIS_CACHE_SIZE:
+        cache.popitem(last=False)
+    return gb
 
 
 def _module_groebner(gens, order, cap, want_expressions):

@@ -35,9 +35,14 @@ from .ring import BlockElimination, Grevlex, Polynomial, Ring, mono_mul
 
 
 class Ideal:
-    """Ideal with cached reduced bases, one per monomial order."""
+    """Ideal of a ring, given by generators.
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    Its reduced bases live in the ring's basis cache (see
+    groebner.groebner_basis), so ideals named by the same generators share
+    them.
+    """
+
+    __slots__ = ("ring", "gens")
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -45,7 +50,6 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator over a different ring")
-        self._gb_cache: dict[str, GroebnerBasis] = {}
 
     @classmethod
     def parse(cls, ring: Ring, texts) -> "Ideal":
@@ -53,16 +57,9 @@ class Ideal:
 
     def gb(self, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
         order = order if order is not None else self.ring.grevlex
-        cached = self._gb_cache.get(order.name)
-        if cached is None:
-            if not self.gens:
-                cached = GroebnerBasis(
-                    self.ring, None, order, ()
-                )
-            else:
-                cached = groebner_basis(self.gens, order, cap)
-            self._gb_cache[order.name] = cached
-        return cached
+        if not self.gens:
+            return GroebnerBasis(self.ring, None, order, ())
+        return groebner_basis(self.gens, order, cap)
 
     def contains(self, f: Polynomial) -> bool:
         if not f:
@@ -407,7 +404,9 @@ def curve_is_squarefree(f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
         raise CharacteristicError(
             "degree divisible by the characteristic; the criterion fails"
         )
-    gens = [f] + [f.partial_derivative(i) for i in range(ring.nvars)]
+    # Euler: d*f = sum x_i * df/dx_i with d invertible, so (f, df) = (df),
+    # the Jacobian ideal whose basis the conductor computation shares.
+    gens = [f.partial_derivative(i) for i in range(ring.nvars)]
     return codimension(Ideal(ring, gens), cap) >= 2
 
 

@@ -1,12 +1,26 @@
 """Dense linear algebra over F_p on numpy int64 arrays.
 
-Entries live in [0, p).  With p < 2^16 the intermediate products in an
-elimination step stay far below 2^63, so plain int64 arithmetic with a final
-reduction is exact.
+Entries live in [0, p) and every prime is below PRIME_LIMIT = 2^31, which
+keeps int64 arithmetic with a final reduction exact:
+
+- an elimination step in `rref` forms a - b*c with a, b, c in [0, p), so its
+  values lie in (-(p-1)^2, p), inside (-2^62, 2^31);
+- `reduce_rows` forms B - B[:, P] @ R, whose inner dimension k is the rank of
+  R.  A dot product of length k reaches k*(p-1)^2, so the product is taken in
+  slices of at most (2^63 - p) // (p-1)^2 pivots.  Each slice sum stays below
+  2^63 - p, and because R is reduced (zero in every other pivot column) the
+  slices can be subtracted one after another.  At p = 32003 one slice holds
+  about 9*10^9 pivots, so in practice there is a single product.
+
+`ring.Ring` refuses larger primes, so no caller reaches these routines with a
+modulus they would compute wrongly.
 """
 from __future__ import annotations
 
 import numpy as np
+
+PRIME_LIMIT = 1 << 31
+_INT64_SPAN = 1 << 63
 
 
 def rref(A, p: int):
@@ -57,7 +71,9 @@ def reduce_rows(R, pivots, B, p: int):
     """Reduce each row of B modulo the span of the rref rows R."""
     B = np.array(B, dtype=np.int64) % p
     if len(pivots) and B.size:
-        B = (B - B[:, pivots] @ R) % p
+        step = (_INT64_SPAN - p) // (p - 1) ** 2
+        for s in range(0, len(pivots), step):
+            B = (B - B[:, pivots[s : s + step]] @ R[s : s + step]) % p
     return B
 
 

@@ -9,6 +9,7 @@ termination arguments need.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from functools import lru_cache
 
 from .errors import (
@@ -17,6 +18,7 @@ from .errors import (
     ParseError,
     RingMismatchError,
 )
+from .linalg import PRIME_LIMIT
 
 Mono = tuple[int, ...]
 
@@ -80,7 +82,12 @@ def mono_degree(m: Mono) -> int:
 
 
 class MonomialOrder:
-    """Total order on monomials via integer keys (bigger key = bigger monomial)."""
+    """Total order on monomials via integer keys (bigger key = bigger monomial).
+
+    `name` identifies the order among the orders of one ring: two orders with
+    the same name compare every pair of monomials alike.  Basis caches key on
+    it.
+    """
 
     name: str = "order"
 
@@ -89,6 +96,13 @@ class MonomialOrder:
 
     def __repr__(self):
         return f"<{self.name}>"
+
+
+def _perm_tag(perm: tuple[int, ...]) -> str:
+    """Name suffix of a variable permutation; empty for the identity."""
+    if perm == tuple(range(len(perm))):
+        return ""
+    return ":" + ",".join(map(str, perm))
 
 
 def _grevlex_key(m: Mono, seq: tuple[int, ...]) -> int:
@@ -119,8 +133,7 @@ class Grevlex(MonomialOrder):
         self.perm = tuple(perm) if perm is not None else tuple(range(n))
         if sorted(self.perm) != list(range(n)):
             raise ValueError("perm must be a permutation of the variables")
-        tag = "" if perm is None else ":" + ",".join(map(str, self.perm))
-        self.name = "grevlex" + tag
+        self.name = "grevlex" + _perm_tag(self.perm)
         self._cache: dict[Mono, int] = {}
 
     def key(self, m: Mono) -> int:
@@ -137,8 +150,7 @@ class Lex(MonomialOrder):
     def __init__(self, n: int, perm: tuple[int, ...] | None = None):
         self.n = n
         self.perm = tuple(perm) if perm is not None else tuple(range(n))
-        tag = "" if perm is None else ":" + ",".join(map(str, self.perm))
-        self.name = "lex" + tag
+        self.name = "lex" + _perm_tag(self.perm)
         self._cache: dict[Mono, int] = {}
 
     def key(self, m: Mono) -> int:
@@ -184,10 +196,24 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _HEADER_RE = re.compile(r"\s*ring\s+p\s*=\s*(\d+)\s+vars\s*=\s*([^\s]+)\s*\Z")
 
 
+def check_characteristic(p: int) -> None:
+    """Refuse a characteristic the engine cannot compute in exactly.
+
+    p must be prime and below linalg.PRIME_LIMIT = 2^31, the bound under which
+    int64 elimination never overflows (the proof is in linalg).
+    """
+    if not is_prime(p):
+        raise CharacteristicError(f"{p} is not prime")
+    if p >= PRIME_LIMIT:
+        raise CharacteristicError(
+            f"prime {p} is not below 2^31, the limit of exact int64 elimination"
+        )
+
+
 class Ring:
     """The ring F_p[x_0, ..., x_{n-1}] for a prime p and named variables."""
 
-    __slots__ = ("p", "names", "nvars", "_index", "_grevlex")
+    __slots__ = ("p", "names", "nvars", "_index", "_grevlex", "basis_cache")
 
     def __init__(self, names, p: int = 32003):
         if isinstance(names, str):
@@ -200,13 +226,15 @@ class Ring:
                 raise ValueError(f"bad variable name {nm!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        if not is_prime(p):
-            raise CharacteristicError(f"{p} is not prime")
+        check_characteristic(p)
         self.p = p
         self.names = names
         self.nvars = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
         self._grevlex = Grevlex(self.nvars)
+        # Reduced Groebner bases over this ring, least recently used first;
+        # groebner.groebner_basis fills and bounds it.
+        self.basis_cache: OrderedDict = OrderedDict()
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.names == other.names and self.p == other.p

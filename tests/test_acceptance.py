@@ -2,16 +2,12 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
 as they happen; without -s they still appear in captured output on
-failure.  Criterion 3 is the slow tier and is skipped unless NODAL_SLOW=1
-is set; the skip itself prints a verdict line with the recorded reason.
+failure.
 """
-import os
 import random
 import time
 from math import comb
 from pathlib import Path
-
-import pytest
 
 import oracles
 from nodal import (
@@ -194,15 +190,7 @@ def test_criterion_02_determinantal_m2_chain():
     )
 
 
-def test_criterion_03_determinantal_m3_slow_tier():
-    if not os.environ.get("NODAL_SLOW"):
-        reason = (
-            "slow tier disabled by default; set NODAL_SLOW=1 to run. "
-            "Verified manually on this machine: delta=57, reg=13, "
-            "4 degree-9 generators, well under the 20 min budget."
-        )
-        print(f"\nACCEPT criterion-3 m=3 determinantal SKIP ({reason})", flush=True)
-        pytest.skip(reason)
+def test_criterion_03_determinantal_m3():
     t0 = time.perf_counter()
     ring = default_ring()
     I = determinantal_points(3, seed=0, ring=ring)

@@ -109,6 +109,24 @@ class TestErrorPaths:
         assert main(["gb", str(points_fix), "--degree-cap", "1"]) == 3
         assert "degree cap" in capsys.readouterr().err
 
+    def test_prime_limit(self, points_fix, capsys):
+        # 2^31 - 1 is the largest prime exact int64 elimination allows
+        assert main(["gb", str(points_fix), "--prime", "2147483647", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["prime"] == 2147483647
+        for args in (
+            ["gb", str(points_fix), "--prime", "2147483659"],
+            ["verify", "--statement", "linkage", "--prime", "2147483659"],
+            ["corpus", str(FIXTURES), "--prime", "4294967311"],
+        ):
+            assert main(args) == 2
+            assert "--prime" in capsys.readouterr().err
+
+    def test_header_prime_limit(self, tmp_path, capsys):
+        p = tmp_path / "big.fix"
+        p.write_text(POINTS.replace("p=32003", "p=2147483659"))
+        assert main(["gb", str(p)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_statement(self, capsys):

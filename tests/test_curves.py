@@ -1,4 +1,6 @@
 """Curve layer: conductor routes, certificates, constructions, fixtures."""
+from pathlib import Path
+
 import pytest
 
 from nodal import (
@@ -27,8 +29,11 @@ from nodal import (
     singular_set_ideal_nodescusps,
     symbolic_square,
 )
+from nodal import groebner
 
 import oracles
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -86,6 +91,30 @@ class TestJacobian:
 
 
 class TestConductorNodal:
+    def test_each_basis_computed_once(self, monkeypatch):
+        """One engine run per distinct (order, generator set).
+
+        Orders are compared by what they are, not by name, so a grevlex with
+        the identity permutation counts as the ring's grevlex.
+        """
+        runs = []
+        engine = groebner.macaulay_gb
+
+        def counted(gens, order=None, cap=groebner.DEFAULT_DEGREE_CAP):
+            gb = engine(gens, order, cap)
+            order = order or gb.ring.grevlex
+            ident = (type(order).__name__, getattr(order, "perm", None),
+                     getattr(order, "elim", None))
+            runs.append((ident, frozenset(frozenset(f.terms.items()) for f in gens)))
+            return gb
+
+        monkeypatch.setattr(groebner, "macaulay_gb", counted)
+        fx = parse_fixture((FIXTURES / "two-cubics.fix").read_text())
+        rep = conductor_nodal(fx.curve.total_form)
+        assert rep.delta == 9
+        assert runs
+        assert len(runs) == len(set(runs))
+
     def test_two_lines(self, ring):
         rep = conductor_nodal(ring.parse("x0*x1"))
         assert rep.delta == 1
@@ -321,6 +350,13 @@ class TestFixtures:
             "ring p=32003 vars=x0,x1,x2\ngenerator: x0", prime=32009
         )
         assert fx.ring.p == 32009
+
+    def test_prime_limit(self):
+        text = "ring p=2147483659 vars=x0,x1,x2\ngenerator: x0"
+        with pytest.raises(ParseError):
+            parse_fixture(text)
+        with pytest.raises(CharacteristicError):
+            parse_fixture(text.replace("2147483659", "32003"), prime=2147483659)
 
     def test_multi_generator_hint(self, ring):
         fx = parse_fixture(

@@ -4,13 +4,16 @@ import random
 import pytest
 
 from nodal import (
+    BlockElimination,
     DegreeCapExceeded,
     FreeModuleShape,
     Grevlex,
+    Ideal,
     Lex,
     ModuleElement,
     PositionOverTerm,
     Ring,
+    RingMismatchError,
     buchberger,
     groebner_basis,
     macaulay_gb,
@@ -18,7 +21,8 @@ from nodal import (
     normal_form,
     syzygy_generators,
 )
-from nodal.groebner import RingOrderAdapter, reduces_to_zero
+from nodal import groebner
+from nodal.groebner import BASIS_CACHE_SIZE, RingOrderAdapter, reduces_to_zero
 
 import oracles
 
@@ -301,3 +305,103 @@ class TestOrderAdapters:
     def test_ring_adapter(self, ring):
         keyf = RingOrderAdapter(ring.grevlex).key
         assert keyf((0, (1, 0, 0))) == ring.grevlex.key((1, 0, 0))
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Names of the engines groebner_basis runs, in call order."""
+    runs = []
+    for name in ("macaulay_gb", "macaulay_module_gb", "buchberger"):
+        def counted(*args, _fn=getattr(groebner, name), _name=name, **kwargs):
+            runs.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counted)
+    return runs
+
+
+CACHE_GENS = ("x0^2 + 2*x1*x2", "x0*x1 + 3*x2^2", "x1^3 - x0*x2^2")
+
+
+class TestBasisCache:
+    def test_identity_permutation_is_default_grevlex(self, ring, engine_runs):
+        assert Grevlex(3, (0, 1, 2)).name == ring.grevlex.name
+        assert Lex(3, (0, 1, 2)).name == Lex(3).name
+        gb = Ideal.parse(ring, CACHE_GENS).gb()
+        again = Ideal.parse(ring, CACHE_GENS[::-1]).gb(Grevlex(3, (0, 1, 2)))
+        assert again is gb
+        assert engine_runs == ["macaulay_gb"]
+
+    def test_reduced_basis_is_a_key(self, ring, engine_runs):
+        gb = Ideal.parse(ring, CACHE_GENS).gb()
+        assert Ideal(ring, gb.elements).gb() is gb
+        assert engine_runs == ["macaulay_gb"]
+
+    def test_orders_never_share(self, ring, engine_runs):
+        gens = [ring.parse(t) for t in CACHE_GENS]
+        orders = (
+            ring.grevlex,
+            Grevlex(3, (1, 2, 0)),
+            Lex(3),
+            BlockElimination(3, elim=(0,)),
+        )
+        rank1 = FreeModuleShape.plain(1)
+        module_gens = [ModuleElement.from_polynomials(rank1, [f]) for f in gens]
+        pot = PositionOverTerm(ring.grevlex, 1)
+        shared = [groebner_basis(gens, order) for order in orders]
+        shared.append(groebner_basis(module_gens, pot))
+        assert len({id(gb) for gb in shared}) == len(orders) + 1
+        assert len(engine_runs) == len(orders) + 1
+        for order, gb in zip(orders, shared):
+            fresh = Ring("x0,x1,x2")
+            alone = groebner_basis([fresh.parse(t) for t in CACHE_GENS], order)
+            assert gb.elements == alone.elements
+        assert all(isinstance(z, ModuleElement) for z in shared[-1].elements)
+        assert [z.component(0) for z in shared[-1].elements] == list(
+            shared[0].elements
+        )
+        assert groebner_basis(gens) is shared[0]
+
+    def test_primes_never_share(self):
+        bases = {}
+        for p in (32003, 32009):
+            r = Ring("x0,x1,x2", p=p)
+            gb = Ideal.parse(r, CACHE_GENS).gb()
+            assert all(entry.ring.p == p for entry in r.basis_cache.values())
+            bases[p] = sorted(str(g) for g in gb.elements)
+        assert bases[32003] != bases[32009]
+
+    def test_cap_is_part_of_the_key(self, ring):
+        gens = [ring.parse("x0^2*x1 - x2^3"), ring.parse("x0*x1^2 - x2^3")]
+        assert len(groebner_basis(gens)) > 2
+        with pytest.raises(DegreeCapExceeded):
+            groebner_basis(gens, cap=3)
+
+    def test_order_arity_checked_before_lookup(self, ring):
+        gens = [ring.parse(t) for t in CACHE_GENS]
+        groebner_basis(gens)
+        with pytest.raises(RingMismatchError):
+            groebner_basis(gens, Grevlex(4))
+
+    def test_bounded_least_recently_used(self, ring, engine_runs):
+        # one key per single-monomial ideal: its basis is its generator
+        monos = [m for d in range(1, 20) for m in ring.monomials_of_degree(d)]
+        ideals = [[ring.monomial(m)] for m in monos[: BASIS_CACHE_SIZE + 1]]
+        for gens in ideals:
+            groebner_basis(gens)
+        assert len(ring.basis_cache) == BASIS_CACHE_SIZE
+        runs = len(engine_runs)
+        groebner_basis(ideals[-1])
+        assert len(engine_runs) == runs
+        groebner_basis(ideals[0])
+        assert len(engine_runs) == runs + 1
+
+
+class TestPrimeLimit:
+    def test_largest_prime_hilbert_function(self):
+        # three generic quadrics: a complete intersection of length 8
+        for p in (32003, 2147483647):
+            r = Ring("x0,x1,x2", p=p)
+            rng = random.Random(1)
+            ideal = Ideal(r, [r.random_form(2, rng) for _ in range(3)])
+            assert [ideal.quotient_dim(e) for e in range(6)] == [1, 3, 3, 1, 0, 0]

@@ -101,3 +101,46 @@ def test_empty_matrix():
         [1, 1, 1, 1],
         [1, 1, 1, 1],
     ]
+
+
+def _exact_rref_and_reduce(A, B, p):
+    """Python-integer reference for rref followed by reduce_rows."""
+    R = [[int(x) % p for x in row] for row in A]
+    pivots, r = [], 0
+    for c in range(len(R[0]) if R else 0):
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for k in range(len(R)):
+            if k != r and R[k][c]:
+                f = R[k][c]
+                R[k] = [(x - f * y) % p for x, y in zip(R[k], R[r])]
+        pivots.append(c)
+        r += 1
+    R = R[:r]
+    out = []
+    for row in B:
+        row = [int(x) % p for x in row]
+        for k, c in enumerate(pivots):
+            f = row[c]
+            row = [(x - f * y) % p for x, y in zip(row, R[k])]
+        out.append(row)
+    return R, pivots, out
+
+
+def test_largest_prime_is_exact():
+    # At p = 2^31 - 1 a dot product of three products of residues passes
+    # 2^63, so reduce_rows must slice its inner dimension to stay exact.
+    p = linalg.PRIME_LIMIT - 1
+    rng = random.Random(41)
+    for _ in range(5):
+        A = random_matrix(rng, 6, 9, p)
+        B = random_matrix(rng, 4, 9, p)
+        R, piv = linalg.rref(A, p)
+        ref_R, ref_piv, ref_C = _exact_rref_and_reduce(A, B, p)
+        assert piv == ref_piv
+        assert R.tolist() == ref_R
+        assert linalg.reduce_rows(R, piv, B, p).tolist() == ref_C

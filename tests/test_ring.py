@@ -44,6 +44,15 @@ class TestRingConstruction:
         with pytest.raises(CharacteristicError):
             Ring("x0,x1", p=32001)
 
+    def test_prime_limit_boundary(self):
+        # 2^31 - 1 is the largest prime below the int64 elimination limit;
+        # the next prime is refused rather than computed wrongly
+        assert Ring("x0,x1", p=2147483647).p == 2147483647
+        with pytest.raises(CharacteristicError):
+            Ring("x0,x1", p=2147483659)
+        with pytest.raises(CharacteristicError):
+            Ring("x0,x1", p=4294967311)
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Ring("x0,x0")
