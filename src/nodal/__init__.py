@@ -57,7 +57,6 @@ from .ideals import (
 )
 from .resolution import (
     FreeResolution,
-    minimal_free_resolution,
     resolve_ideal,
     resolve_presented,
     resolve_quotient,
@@ -67,7 +66,7 @@ from .hilbert import (
     hilbert_function,
     hilbert_polynomial_of_points,
 )
-from .report import BettiTable, VerdictReport, betti_table, regularity
+from .report import BettiTable, VerdictReport, betti_table
 from .curves import (
     DEFAULT_PRIME,
     SECOND_PRIME,

@@ -22,6 +22,7 @@ from .curves import (
 from .errors import (
     CharacteristicError,
     DegreeCapExceeded,
+    ExponentLimitError,
     NodalError,
     NonNodalCurveError,
     ParseError,
@@ -32,7 +33,7 @@ from .hilbert import cm_regularity_crosscheck, hilbert_function
 from .ideals import Ideal
 from .report import betti_table
 from .resolution import resolve_quotient
-from .ring import check_characteristic
+from .ring import check_characteristic, check_degree_cap
 from .validators import STATEMENTS, run_statement
 
 SCHEMA = 1
@@ -209,10 +210,10 @@ def _cmd_conductor(args) -> int:
     return 0
 
 
-def _run_fixture_statement(statement, seed, prime, cap, fixture_path, **params):
-    """Run a statement on a fixture, retrying at the second prime when the
-    fixture's characteristic divides the curve degree."""
-    fx = _load_fixture(fixture_path, prime)
+def _run_fixture_statement(statement, seed, cap, fx, fixture_path, **params):
+    """Run a statement on a loaded fixture, retrying at the second prime when
+    the fixture's characteristic divides the curve degree.  Statements on one
+    fixture share its ring and basis cache; only the retry parses again."""
     try:
         return run_statement(
             statement, seed=seed, prime=fx.ring.p, cap=cap, fixture=fx, **params
@@ -270,6 +271,9 @@ def _cmd_verify(args) -> int:
     primes = [args.prime if args.prime is not None else DEFAULT_PRIME]
     if args.second_prime:
         primes.append(SECOND_PRIME)
+    fixtures = {}
+    if args.fixture is not None:
+        fixtures = {p: _load_fixture(args.fixture, p) for p in primes}
     reports = []
     for statement in ids:
         for p in primes:
@@ -277,8 +281,8 @@ def _cmd_verify(args) -> int:
             if args.fixture is not None:
                 reports.append(
                     _run_fixture_statement(
-                        statement, args.seed, p, args.degree_cap,
-                        args.fixture, **params,
+                        statement, args.seed, args.degree_cap,
+                        fixtures[p], args.fixture, **params,
                     )
                 )
             else:
@@ -338,7 +342,7 @@ def _cmd_corpus(args) -> int:
                 )
             else:
                 rep = _run_fixture_statement(
-                    statement, args.seed, args.prime, args.degree_cap, path
+                    statement, args.seed, args.degree_cap, fx, path
                 )
             reports.append(rep)
             ok = ok and rep.ok
@@ -377,6 +381,11 @@ def main(argv=None) -> int:
         except CharacteristicError as e:
             print(f"invalid input: --prime: {e}", file=sys.stderr)
             return 2
+    try:
+        check_degree_cap(args.degree_cap)
+    except ExponentLimitError as e:
+        print(f"invalid input: --degree-cap: {e}", file=sys.stderr)
+        return 2
     handlers = {
         "gb": _cmd_gb,
         "resolve": _cmd_resolve,

@@ -4,9 +4,8 @@ Two engines share the work.  A degreewise Macaulay-matrix elimination handles
 homogeneous ideal input: it row-reduces the span of all monomial multiples of
 the current basis one degree at a time, harvesting new lead monomials until no
 S-pair degree is outstanding.  For every ideal this yields the unique reduced
-basis directly.  Everything else (modules, inhomogeneous input, runs that must
-record division expressions) goes through Buchberger with the Gebauer-Moeller
-pair criteria.
+basis directly.  Everything else (modules, inhomogeneous input, syzygies)
+goes through Buchberger with the Gebauer-Moeller pair criteria.
 
 Terms of a module element are keyed (component, monomial) and compared through
 integer keys, see ring.py.  Component twists record generator degrees, so the
@@ -22,10 +21,12 @@ import numpy as np
 from . import linalg
 from .errors import DegreeCapExceeded, InvariantViolation, RingMismatchError
 from .ring import (
+    MAX_EXPONENT,
     Mono,
     MonomialOrder,
     Polynomial,
     Ring,
+    check_degree_cap,
     mono_degree,
     mono_div,
     mono_divides,
@@ -173,6 +174,14 @@ class ModuleElement:
     __repr__ = __str__
 
 
+def _check_module_gens(gens):
+    shape = gens[0].shape
+    ring = gens[0].ring
+    for z in gens:
+        if z.shape != shape or z.ring != ring:
+            raise RingMismatchError("module generators disagree on shape")
+
+
 def _poly_to_dict(f: Polynomial) -> dict:
     return {(0, m): c for m, c in f.terms.items()}
 
@@ -184,37 +193,30 @@ def _dict_to_poly(ring: Ring, d: dict) -> Polynomial:
 class _Gel:
     """Engine-internal basis element: monic, lead split off the tail."""
 
-    __slots__ = ("index", "lead", "key", "tail", "full", "trace")
+    __slots__ = ("index", "lead", "key", "tail", "full", "top")
 
-    def __init__(self, index, lead, key, tail, full, trace):
+    def __init__(self, index, lead, key, tail, full, top):
         self.index = index
         self.lead = lead
         self.key = key
         self.tail = tail  # tuple of (term, coeff), lead excluded
         self.full = full  # dict including the lead
-        self.trace = trace  # expression over the input generators, or None
+        self.top = top  # largest total degree of a term
 
 
-def _make_gel(ring: Ring, d: dict, keyf, index: int, trace) -> _Gel:
+def _make_gel(ring: Ring, d: dict, keyf, index: int) -> _Gel:
     lead = max(d, key=keyf)
     lc = d[lead]
     if lc != 1:
         inv = pow(lc, -1, ring.p)
         d = {t: c * inv % ring.p for t, c in d.items()}
-        if trace is not None:
-            trace = {t: c * inv % ring.p for t, c in trace.items()}
     tail = tuple((t, c) for t, c in d.items() if t != lead)
-    return _Gel(index, lead, keyf(lead), tail, d, trace)
+    top = max(mono_degree(m) for _, m in d)
+    return _Gel(index, lead, keyf(lead), tail, d, top)
 
 
-def _normal_form_dict(work_in, gels_by_comp, keyf, p, cap, trace=None):
-    """Fully reduce a term dict against the bucketed basis.
-
-    Returns the remainder.  When trace is given it must satisfy the invariant
-    input = remainder-so-far + sum(trace * original generators); each step
-    f -> f - c * x^q * red composes red's own trace into it, keeping the
-    expression over the original generators exact.
-    """
+def _normal_form_dict(work_in, gels_by_comp, keyf, p, cap):
+    """Remainder of a term dict fully reduced against the bucketed basis."""
     work = dict(work_in)
     heap = [(-keyf(t), t) for t in work]
     heapq.heapify(heap)
@@ -234,14 +236,6 @@ def _normal_form_dict(work_in, gels_by_comp, keyf, p, cap, trace=None):
             rem[t] = c
             continue
         q = mono_div(mono, red.lead[1])
-        if trace is not None:
-            for (idx, tm), tc in red.trace.items():
-                tk = (idx, mono_mul(tm, q))
-                nv = (trace.get(tk, 0) - c * tc) % p
-                if nv:
-                    trace[tk] = nv
-                else:
-                    trace.pop(tk, None)
         for (tc, tm), gc in red.tail:
             nm = mono_mul(tm, q)
             if mono_degree(nm) > cap:
@@ -277,42 +271,29 @@ def _sub_into(acc: dict, d: dict, p: int):
             acc.pop(t, None)
 
 
-def _poly_times_trace(poly_dict, trace, p):
-    """Rank-1 element times an expression, term by term."""
-    out: dict[Term, int] = {}
-    for (_, m), c in poly_dict.items():
-        for (idx, tm), tc in trace.items():
-            key = (idx, mono_mul(m, tm))
-            nv = (out.get(key, 0) + c * tc) % p
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _buchberger_engine(ring, elems, keyf, cap, rank1, want_traces):
+def _buchberger_engine(ring, elems, keyf, cap, rank1, frontier):
     """Shared Buchberger core.
 
     elems: list of term dicts (zeros allowed, skipped).  Returns
-    (gels, syzygies): the raw run basis in insertion order, plus the collected
-    expressions over the inputs when want_traces is set.  Every nonzero input
-    enters the run basis with a unit trace, so zero-reduction expressions are
-    syzygies of the inputs themselves; product-criterion skips are repaired
-    with Koszul relations so the collection generates the syzygy module.
+    (gels, syzygies): the raw run basis in insertion order, and the nonzero
+    inputs and S-pair remainders led at a component >= frontier, which are
+    set aside as they come instead of joining the basis.  A plain basis run
+    passes the module rank, so nothing is set aside.
     """
+    check_degree_cap(cap)
     p = ring.p
-    zero_mono = tuple([0] * ring.nvars)
     gels: list[_Gel] = []
     by_comp: dict[int, list[_Gel]] = {}
     syzygies: list[dict] = []
-    koszul_pairs: list[tuple[int, int]] = []
     alive: dict[tuple[int, int], Mono] = {}
     heap: list[tuple[int, int, int]] = []
 
-    def insert(d, trace):
+    def insert(d):
         t = len(gels)
-        g = _make_gel(ring, d, keyf, t, trace)
+        g = _make_gel(ring, d, keyf, t)
+        if g.lead[0] >= frontier:
+            syzygies.append(d)
+            return
         cand = []
         for other in gels:
             if other.lead[0] != g.lead[0]:
@@ -351,59 +332,40 @@ def _buchberger_engine(ring, elems, keyf, cap, rank1, want_traces):
         for i, lcm in deduped:
             other = gels[i]
             if rank1 and lcm == mono_mul(other.lead[1], g.lead[1]):
-                # Coprime leads: the S-pair reduces to zero and its syzygy is
-                # the Koszul relation, filled in afterwards when traced.
-                if want_traces:
-                    koszul_pairs.append((i, t))
-                continue
+                continue  # coprime leads: the S-pair reduces to zero
             alive[(i, t)] = lcm
             heapq.heappush(heap, (mono_degree(lcm), i, t))
         gels.append(g)
         by_comp.setdefault(g.lead[0], []).append(g)
 
-    for idx, d in enumerate(elems):
-        if not d:
-            if want_traces:
-                syzygies.append({(idx, zero_mono): 1})
-            continue
-        trace = {(idx, zero_mono): 1} if want_traces else None
-        insert(dict(d), trace)
+    for d in elems:
+        if d:
+            insert(dict(d))
 
     while heap:
-        deg, i, j = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         if alive.pop((i, j), None) is None:
             continue
-        if deg > cap:
-            raise DegreeCapExceeded(
-                f"S-pair degree {deg} passed the cap {cap}", cap=cap
-            )
         gi, gj = gels[i], gels[j]
         lcm = mono_lcm(gi.lead[1], gj.lead[1])
         qi = mono_div(lcm, gi.lead[1])
         qj = mono_div(lcm, gj.lead[1])
+        # The lcm's degree under a degree-compatible order; under lex a tail
+        # can outgrow its lead, and its shift must stay inside the cap too.
+        deg = max(gi.top + mono_degree(qi), gj.top + mono_degree(qj))
+        if deg > cap:
+            raise DegreeCapExceeded(
+                f"S-pair degree {deg} passed the cap {cap}", cap=cap
+            )
         s = _shift_dict(gi.full, qi)
         _sub_into(s, _shift_dict(gj.full, qj), p)
-        trace = None
-        if want_traces:
-            trace = _shift_dict(gi.trace, qi)
-            _sub_into(trace, _shift_dict(gj.trace, qj), p)
-        rem = _normal_form_dict(s, by_comp, keyf, p, cap, trace=trace)
+        rem = _normal_form_dict(s, by_comp, keyf, p, cap)
         if rem:
-            insert(rem, trace)
-        elif want_traces and trace:
-            syzygies.append(trace)
-
-    if want_traces:
-        for i, j in koszul_pairs:
-            gi, gj = gels[i], gels[j]
-            syz = _poly_times_trace(gj.full, gi.trace, p)
-            _sub_into(syz, _poly_times_trace(gi.full, gj.trace, p), p)
-            if syz:
-                syzygies.append(syz)
+            insert(rem)
     return gels, syzygies
 
 
-def _interreduce(ring, gels, keyf, cap, want_traces):
+def _interreduce(ring, gels, keyf, cap):
     """Minimal lead set, then tail reduction: the reduced basis."""
     p = ring.p
     order_idx = sorted(range(len(gels)), key=lambda i: gels[i].key)
@@ -422,9 +384,8 @@ def _interreduce(ring, gels, keyf, cap, want_traces):
         for h in kept:
             if h is not g:
                 others.setdefault(h.lead[0], []).append(h)
-        trace = dict(g.trace) if (want_traces and g.trace is not None) else None
-        rem = _normal_form_dict(g.full, others, keyf, p, cap, trace=trace)
-        out.append(_make_gel(ring, rem, keyf, g.index, trace))
+        rem = _normal_form_dict(g.full, others, keyf, p, cap)
+        out.append(_make_gel(ring, rem, keyf, g.index))
     out.sort(key=lambda g: g.key)
     return out
 
@@ -437,7 +398,6 @@ class GroebnerBasis:
     shape: FreeModuleShape
     order: object  # MonomialOrder for rank 1, ModuleOrder otherwise
     elements: tuple
-    expressions: tuple | None = None  # per element, over the input generators
 
     @property
     def rank1(self) -> bool:
@@ -483,6 +443,7 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     argument; pairs live only between leads in the same component, and the
     coprime-lead shortcut is only sound in rank one.
     """
+    check_degree_cap(cap)
     p = ring.p
     by_deg: dict[int, list[dict]] = {}
     for terms, d in inputs:
@@ -589,10 +550,10 @@ def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasi
     ]
     basis = _macaulay_engine(ring, (0,), inputs, keyf, cap, coprime_skip=True)
     gels = [
-        _make_gel(ring, dict(terms), keyf, i, None)
+        _make_gel(ring, dict(terms), keyf, i)
         for i, (_, terms, _) in enumerate(basis)
     ]
-    gels = _interreduce(ring, gels, keyf, cap, want_traces=False)
+    gels = _interreduce(ring, gels, keyf, cap)
     elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
     return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements)
 
@@ -602,13 +563,11 @@ def macaulay_module_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> Groeb
     gens = [z for z in gens if z]
     if not gens:
         raise ValueError("need at least one nonzero generator")
+    _check_module_gens(gens)
+    if not all(z.is_homogeneous() for z in gens):
+        raise ValueError("macaulay_module_gb needs homogeneous input")
     ring = gens[0].ring
     shape = gens[0].shape
-    for z in gens:
-        if z.ring != ring or z.shape != shape:
-            raise RingMismatchError("module generators disagree on shape")
-        if not z.is_homogeneous():
-            raise ValueError("macaulay_module_gb needs homogeneous input")
     if order is None:
         order = PositionOverTerm(ring.grevlex, shape.rank)
     keyf = order.key
@@ -618,26 +577,21 @@ def macaulay_module_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> Groeb
         ring, shape.twists, inputs, keyf, cap, coprime_skip=False
     )
     gels = [
-        _make_gel(ring, dict(terms), keyf, i, None)
+        _make_gel(ring, dict(terms), keyf, i)
         for i, (_, terms, _) in enumerate(basis)
     ]
-    gels = _interreduce(ring, gels, keyf, cap, want_traces=False)
+    gels = _interreduce(ring, gels, keyf, cap)
     elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
     return GroebnerBasis(ring, shape, order, elements)
 
 
-def buchberger(
-    gens,
-    order=None,
-    cap: int = DEFAULT_DEGREE_CAP,
-    want_expressions: bool = False,
-) -> GroebnerBasis:
+def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
     """Reduced basis by Buchberger's algorithm; the general-purpose path."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     if isinstance(gens[0], ModuleElement):
-        return _module_groebner(gens, order, cap, want_expressions)[0]
+        return _module_groebner(gens, order, cap)
     ring = gens[0].ring
     order = _resolve_order(ring, order)
     for f in gens:
@@ -645,18 +599,10 @@ def buchberger(
             raise RingMismatchError("generators over different rings")
     keyf = RingOrderAdapter(order).key
     dicts = [_poly_to_dict(f) for f in gens]
-    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, True, want_expressions)
-    gels = _interreduce(ring, gels, keyf, cap, want_expressions)
+    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, True, 1)
+    gels = _interreduce(ring, gels, keyf, cap)
     elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
-    expressions = None
-    if want_expressions:
-        shape = FreeModuleShape.plain(len(gens))
-        expressions = tuple(
-            ModuleElement(ring, shape, dict(g.trace)) for g in gels
-        )
-    return GroebnerBasis(
-        ring, FreeModuleShape.plain(1), order, elements, expressions
-    )
+    return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements)
 
 
 def _sorted_terms(z) -> tuple:
@@ -690,8 +636,6 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     module = bool(gens) and isinstance(gens[0], ModuleElement)
     live = [z for z in gens if z]
     if not live:
-        if module:
-            return _module_groebner(gens, order, cap, False)[0]
         return buchberger(gens, order, cap)
     ring = live[0].ring
     shape = live[0].shape if module else None
@@ -706,7 +650,7 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
         cache.move_to_end(key)
         return gb
     if module:
-        gb = _module_groebner(gens, order, cap, False)[0]
+        gb = _module_groebner(gens, order, cap)
     elif all(f.is_homogeneous() for f in live):
         gb = macaulay_gb(live, order, cap)
     else:
@@ -719,41 +663,28 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     return gb
 
 
-def _module_groebner(gens, order, cap, want_expressions):
-    gens = list(gens)
-    shape = gens[0].shape
+def _module_groebner(gens, order, cap):
+    _check_module_gens(gens)
     ring = gens[0].ring
-    for z in gens:
-        if z.shape != shape or z.ring != ring:
-            raise RingMismatchError("module generators disagree on shape")
+    shape = gens[0].shape
     if order is None:
         order = PositionOverTerm(ring.grevlex, shape.rank)
-    if not want_expressions:
-        live = [z for z in gens if z]
-        if live and all(z.is_homogeneous() for z in live):
-            return macaulay_module_gb(live, order, cap), None
+    live = [z for z in gens if z]
+    if live and all(z.is_homogeneous() for z in live):
+        return macaulay_module_gb(live, order, cap)
     keyf = order.key
     dicts = [dict(z.terms) for z in gens]
-    gels, syz = _buchberger_engine(
-        ring, dicts, keyf, cap, False, want_expressions
-    )
-    gels = _interreduce(ring, gels, keyf, cap, want_expressions)
+    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, False, shape.rank)
+    gels = _interreduce(ring, gels, keyf, cap)
     elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
-    expressions = None
-    if want_expressions:
-        tshape = FreeModuleShape.plain(len(gens))
-        expressions = tuple(
-            ModuleElement(ring, tshape, dict(g.trace)) for g in gels
-        )
-    return GroebnerBasis(ring, shape, order, elements, expressions), syz
+    return GroebnerBasis(ring, shape, order, elements)
 
 
-def normal_form(f, gb: GroebnerBasis, cap: int | None = None):
+def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
     """Remainder of f on full division by the basis."""
+    check_degree_cap(cap)
     ring = gb.ring
     keyf = gb.term_key()
-    if cap is None:
-        cap = DEFAULT_DEGREE_CAP * 8
     if isinstance(f, Polynomial):
         if not gb.rank1:
             raise RingMismatchError("polynomial against a module basis")
@@ -768,7 +699,7 @@ def normal_form(f, gb: GroebnerBasis, cap: int | None = None):
         src = [dict(z.terms) for z in gb.elements]
     by_comp: dict[int, list[_Gel]] = {}
     for i, gd in enumerate(src):
-        g = _make_gel(ring, gd, keyf, i, None)
+        g = _make_gel(ring, gd, keyf, i)
         by_comp.setdefault(g.lead[0], []).append(g)
     rem = _normal_form_dict(d, by_comp, keyf, ring.p, cap)
     if isinstance(f, Polynomial):
@@ -829,7 +760,7 @@ def _element_vector(terms: dict, col: dict, p: int):
     return row
 
 
-def minimal_module_generators(elements, shape=None):
+def minimal_module_generators(elements):
     """Minimal generating subset of a list of homogeneous elements.
 
     Degreewise: an element is redundant iff it lies in the span of the
@@ -839,13 +770,11 @@ def minimal_module_generators(elements, shape=None):
     elements = [z for z in elements if z]
     if not elements:
         return []
+    ring = elements[0].ring
     if isinstance(elements[0], Polynomial):
-        ring = elements[0].ring
-        if shape is None:
-            shape = FreeModuleShape.plain(1)
+        shape = FreeModuleShape.plain(1)
         triples = [(_poly_to_dict(f), f.homogeneous_degree(), f) for f in elements]
     else:
-        ring = elements[0].ring
         shape = elements[0].shape
         triples = [(dict(z.terms), z.module_degree(), z) for z in elements]
     p = ring.p
@@ -873,37 +802,39 @@ def minimal_module_generators(elements, shape=None):
 # Syzygies
 
 
-def syzygy_generators(gens, order=None, cap: int = DEFAULT_DEGREE_CAP):
+def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
     """Generators of the syzygy module of the given generator list.
 
-    Traced Buchberger run: the expression of every S-pair that reduces to
-    zero is a syzygy of the run basis, and since every nonzero input is kept
-    in the run basis with a unit trace those expressions live over the inputs
-    directly.  Product-criterion skips contribute their Koszul relations, so
-    the union generates.  Homogeneous input gets pruned to a minimal set and
-    sorted; inhomogeneous input is returned as collected.
+    Schreyer's theorem (Eisenbud, Commutative Algebra, Thm 15.10) on rows:
+    one Buchberger run on the rows (g_i | e_i), g_i in components 0..k-1 and
+    the unit e_i in component k + i, under position over term so the g part
+    leads.  A remainder with no g part left is a syzygy and stays out of the
+    basis, so nothing past component k has a reducer.  The product criterion
+    is off, so coprime-lead pairs yield their Koszul syzygies too.
+    Homogeneous output is pruned to a minimal set and sorted; inhomogeneous
+    output is returned as collected.
     """
     gens = list(gens)
     if not gens:
         return []
-    if isinstance(gens[0], ModuleElement):
-        ring = gens[0].ring
-        _, syz = _module_groebner(gens, order, cap, True)
-        twists = tuple(
-            (z.module_degree() or 0) if z.is_homogeneous() else 0 for z in gens
-        )
-    else:
-        ring = gens[0].ring
-        order = _resolve_order(ring, order)
-        keyf = RingOrderAdapter(order).key
-        dicts = [_poly_to_dict(f) for f in gens]
-        _, syz = _buchberger_engine(ring, dicts, keyf, cap, True, True)
-        twists = tuple(
-            f.homogeneous_degree() if (f and f.is_homogeneous()) else 0
-            for f in gens
-        )
+    if isinstance(gens[0], Polynomial):
+        plain = FreeModuleShape.plain(1)
+        gens = [ModuleElement.from_polynomials(plain, [f]) for f in gens]
+    _check_module_gens(gens)
+    ring = gens[0].ring
+    k = gens[0].shape.rank
+    twists = tuple(
+        (z.module_degree() or 0) if z.is_homogeneous() else 0 for z in gens
+    )
+    one = tuple([0] * ring.nvars)
+    rows = [{**z.terms, (k + i, one): 1} for i, z in enumerate(gens)]
+    keyf = PositionOverTerm(ring.grevlex, k + len(gens)).key
+    _, syz = _buchberger_engine(ring, rows, keyf, cap, False, k)
     tshape = FreeModuleShape(len(gens), twists)
-    out = [ModuleElement(ring, tshape, d) for d in syz if d]
+    out = [
+        ModuleElement(ring, tshape, {(c - k, m): v for (c, m), v in d.items()})
+        for d in syz
+    ]
     if out and all(z.is_homogeneous() for z in out):
         out = minimal_module_generators(out)
         key_order = PositionOverTerm(ring.grevlex, tshape.rank)

@@ -135,20 +135,6 @@ def hilbert_function(
     return _package(values, poly)
 
 
-def module_hilbert_function(
-    res: FreeResolution, hf, through_degree: int | None = None
-) -> HilbertData:
-    """HilbertData of a resolved module, values drawn from the callable hf."""
-    top = res.max_twist() + 3
-    if through_degree is not None:
-        top = max(top, through_degree + 1)
-    values = [hf(e) for e in range(top)]
-    for e in range(top):
-        if values[e] != res.hilbert_alternating(e):
-            raise InvariantViolation("Hilbert routes disagree")
-    return _package(values, resolution_hilbert_polynomial(res))
-
-
 def hilbert_polynomial_of_points(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Constant Hilbert polynomial of a finite scheme, two ways."""
     data = hilbert_function(ideal, cap=cap)

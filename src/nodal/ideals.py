@@ -142,10 +142,6 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, [f * g for f in a.gens for g in b.gens])
 
 
-def scale_ideal(a: Ideal, f: Polynomial) -> Ideal:
-    return Ideal(a.ring, [f * g for g in a.gens])
-
-
 # ---------------------------------------------------------------------------
 # Intersection and colon via one auxiliary variable
 

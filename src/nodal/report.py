@@ -25,9 +25,6 @@ class BettiTable:
     def regularity(self) -> int:
         return max((j - i for i, j in self.entries), default=0)
 
-    def column_degrees(self, i: int) -> list[int]:
-        return sorted(j for (k, j) in self.entries if k == i)
-
     def rows(self) -> list[list[int]]:
         """Sorted [i, j, beta] triples for machine emission."""
         return [[i, j, self.entries[(i, j)]] for i, j in sorted(self.entries)]
@@ -65,11 +62,6 @@ class BettiTable:
 
 def betti_table(res: FreeResolution) -> BettiTable:
     return BettiTable.from_resolution(res)
-
-
-def regularity(source) -> int:
-    """Regularity read off a BettiTable or a FreeResolution."""
-    return source.regularity()
 
 
 @dataclass

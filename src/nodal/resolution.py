@@ -53,9 +53,6 @@ class FreeResolution:
     def length(self) -> int:
         return len(self.twists) - 1
 
-    def free_rank(self, i: int) -> int:
-        return len(self.twists[i]) if 0 <= i <= self.length else 0
-
     def betti(self) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
         for i, level in enumerate(self.twists):
@@ -228,10 +225,6 @@ def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution
     return _freeze(ring, tw, ms, ideal.graded_dim)
 
 
-def minimal_free_resolution(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
-    return resolve_ideal(ideal, cap)
-
-
 def minimal_gens_modulo(b: Ideal, a: Ideal, cap: int = DEFAULT_DEGREE_CAP):
     """Subset of b's minimal generators that minimally generates b modulo a.
 
@@ -276,7 +269,7 @@ def resolve_quotient_module(
         head = z.components()[: len(bgens)]
         if any(head):
             rel.append(ModuleElement.from_polynomials(shape, head))
-    rel = minimal_module_generators(rel, shape)
+    rel = minimal_module_generators(rel)
     twists: list = [bdegs]
     maps: list = []
     if rel:
@@ -311,7 +304,7 @@ def resolve_presented(
             raise InvariantViolation("relation does not match the presentation")
         if not z.is_homogeneous():
             raise ValueError("resolutions need homogeneous input")
-    rel = minimal_module_generators(relations, shape)
+    rel = minimal_module_generators(relations)
     twists: list = [gen_twists]
     maps: list = []
     if rel:

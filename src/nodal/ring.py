@@ -210,6 +210,18 @@ def check_characteristic(p: int) -> None:
         )
 
 
+def check_degree_cap(cap: int) -> None:
+    """Refuse a total-degree cap above MAX_EXPONENT.
+
+    The Groebner engines build no monomial of total degree above their cap,
+    so a cap within it keeps every exponent, and every order key, in bounds.
+    """
+    if cap > MAX_EXPONENT:
+        raise ExponentLimitError(
+            f"degree cap {cap} is above the exponent limit {MAX_EXPONENT}"
+        )
+
+
 class Ring:
     """The ring F_p[x_0, ..., x_{n-1}] for a prime p and named variables."""
 
@@ -324,6 +336,8 @@ class Ring:
 
 @lru_cache(maxsize=None)
 def _compositions_cached(d: int, n: int) -> tuple[Mono, ...]:
+    if d < 0:
+        return ()
     if n == 1:
         return ((d,),)
     out = []
@@ -435,9 +449,6 @@ class Polynomial:
             if k:
                 base = base * base
         return out
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

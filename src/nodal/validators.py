@@ -49,13 +49,6 @@ from .resolution import resolve_ideal, resolve_presented, resolve_quotient
 from .ring import Polynomial, Ring
 
 
-def _ideal_hf(a: Ideal, e: int) -> int:
-    """Dimension of the degree-e slice of a homogeneous ideal."""
-    if e < 0:
-        return 0
-    return len(a.ring.monomials_of_degree(e)) - a.quotient_dim(e)
-
-
 def _ideal_regularity(a: Ideal, cap: int) -> int:
     if a.is_unit():
         return 0
@@ -304,9 +297,9 @@ def conductor_sequence_check(
 
     window = range(0, d + 5)
     identity = all(
-        _ideal_hf(whole.conductor, e)
-        == _ideal_hf(cond_rest, e - di)
-        + _ideal_hf(cond_i, e - (d - di))
+        whole.conductor.graded_dim(e)
+        == cond_rest.graded_dim(e - di)
+        + cond_i.graded_dim(e - (d - di))
         - (len(ring.monomials_of_degree(e - d)) if e >= d else 0)
         for e in window
     )

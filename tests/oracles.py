@@ -70,6 +70,51 @@ def quotient_dim(gens, degree: int) -> int:
     return len(monos) - linalg.rank(mat, ring.p)
 
 
+def module_span_rank(ring: Ring, elements, twists, degree: int) -> int:
+    """dim of the degree slice of the span of homogeneous module elements.
+
+    elements: (component polynomials, module degree) pairs in the free module
+    whose i-th basis element sits in degree twists[i].  Each element enters
+    multiplied by every monomial that lands it in the given degree.
+    """
+    cols = [
+        (i, m)
+        for i, t in enumerate(twists)
+        for m in ring.monomials_of_degree(degree - t)
+    ]
+    col = {c: k for k, c in enumerate(cols)}
+    rows = []
+    for comps, d in elements:
+        for q in ring.monomials_of_degree(degree - d):
+            row = np.zeros(len(cols), dtype=np.int64)
+            for i, f in enumerate(comps):
+                for m, c in naive_mul(ring.monomial(q), f).terms.items():
+                    row[col[(i, m)]] = c
+            rows.append(row)
+    if not rows:
+        return 0
+    return linalg.rank(np.vstack(rows), ring.p)
+
+
+def syzygy_dim(gens, degree: int) -> int:
+    """dim of the degree slice of the syzygy module of a generator list.
+
+    The kernel of sum_i S(-d_i) -> F in one degree: sum_i dim S_{e-d_i}
+    minus the rank of the image, the span of the generators' multiples (for
+    an ideal, dim I_e).  gens are homogeneous Polynomials or ModuleElements
+    of one shape; a zero generator sits in degree 0.
+    """
+    ring = gens[0].ring
+    if isinstance(gens[0], Polynomial):
+        twists = (0,)
+        elements = [([g], g.homogeneous_degree() or 0) for g in gens]
+    else:
+        twists = gens[0].shape.twists
+        elements = [(z.components(), z.module_degree() or 0) for z in gens]
+    source = sum(len(ring.monomials_of_degree(degree - d)) for _, d in elements)
+    return source - module_span_rank(ring, elements, twists, degree)
+
+
 # ---------------------------------------------------------------------------
 # Monomial ideals as plain sets of exponent tuples
 

@@ -109,6 +109,18 @@ class TestErrorPaths:
         assert main(["gb", str(points_fix), "--degree-cap", "1"]) == 3
         assert "degree cap" in capsys.readouterr().err
 
+    def test_degree_cap_limit(self, points_fix, capsys):
+        # order keys hold exponents up to 255, and so caps up to 255
+        assert main(["gb", str(points_fix), "--degree-cap", "255"]) == 0
+        capsys.readouterr()
+        for args in (
+            ["gb", str(points_fix), "--degree-cap", "256"],
+            ["verify", "--statement", "linkage", "--degree-cap", "256"],
+            ["corpus", str(FIXTURES), "--degree-cap", "256"],
+        ):
+            assert main(args) == 2
+            assert "--degree-cap" in capsys.readouterr().err
+
     def test_prime_limit(self, points_fix, capsys):
         # 2^31 - 1 is the largest prime exact int64 elimination allows
         assert main(["gb", str(points_fix), "--prime", "2147483647", "--json"]) == 0

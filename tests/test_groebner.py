@@ -6,11 +6,13 @@ import pytest
 from nodal import (
     BlockElimination,
     DegreeCapExceeded,
+    ExponentLimitError,
     FreeModuleShape,
     Grevlex,
     Ideal,
     Lex,
     ModuleElement,
+    Polynomial,
     PositionOverTerm,
     Ring,
     RingMismatchError,
@@ -141,27 +143,67 @@ class TestNormalForm:
         assert normal_form(f, gb) == ring.parse("x2^2")
 
 
-class TestExpressions:
-    def test_expressions_reconstruct_basis(self, ring):
-        rng = random.Random(313)
-        gens = random_homogeneous_ideal(ring, rng)
-        gb = buchberger(gens, want_expressions=True)
-        assert gb.expressions is not None
-        for g, expr in zip(gb.elements, gb.expressions):
+def assert_syzygies_complete(gens, syz):
+    """Every syzygy vanishes, and in each degree through the largest
+    generator degree + 3 the syzygies span the oracle's full syzygy slice."""
+    ring = gens[0].ring
+    polys = isinstance(gens[0], Polynomial)
+    rank = 1 if polys else gens[0].shape.rank
+    for z in syz:
+        for comp in range(rank):
             acc = ring.zero()
-            for i, c in enumerate(expr.components()):
-                acc = acc + c * gens[i]
-            assert acc == g
+            for i, g in enumerate(gens):
+                acc = acc + z.component(i) * (g if polys else g.component(comp))
+            assert acc == 0
+    degrees = [
+        (g.homogeneous_degree() if polys else g.module_degree()) or 0 for g in gens
+    ]
+    for e in range(max(degrees) + 4):
+        got = 0
+        if syz:
+            spans = [(z.components(), z.module_degree()) for z in syz]
+            got = oracles.module_span_rank(ring, spans, syz[0].shape.twists, e)
+        assert got == oracles.syzygy_dim(gens, e), e
 
-    def test_expressions_inhomogeneous(self):
+
+class TestSyzygyCompleteness:
+    def test_random_homogeneous_triples(self, ring):
+        rng = random.Random(1618)
+        for _ in range(6):
+            gens = random_homogeneous_ideal(ring, rng, count=3, maxdeg=3)
+            assert_syzygies_complete(gens, syzygy_generators(gens))
+
+    def test_module_input(self, ring):
+        rng = random.Random(1414)
+        shape = FreeModuleShape(2, (0, 1))
+        for _ in range(3):
+            gens = []
+            for _ in range(3):
+                d = rng.randrange(2, 4)
+                comps = [ring.random_form(d - t, rng) for t in shape.twists]
+                gens.append(ModuleElement.from_polynomials(shape, comps))
+            assert_syzygies_complete(gens, syzygy_generators(gens))
+
+    def test_zero_and_duplicate_generators(self, ring):
+        f = ring.parse("x0^2 + x1*x2")
+        g = ring.parse("x1^3 - x0*x2^2")
+        for gens in (
+            [ring.parse("x0"), ring.zero()],
+            [f, f],
+            [f, ring.zero(), g, f],
+            [ring.zero(), ring.zero()],
+        ):
+            assert_syzygies_complete(gens, syzygy_generators(gens))
+
+    def test_inhomogeneous_koszul_in_module(self):
         r = Ring("x,y")
         gens = [r.parse("x^2 + y"), r.parse("x*y - 1")]
-        gb = buchberger(gens, want_expressions=True)
-        for g, expr in zip(gb.elements, gb.expressions):
-            acc = r.zero()
-            for i, c in enumerate(expr.components()):
-                acc = acc + c * gens[i]
-            assert acc == g
+        syz = syzygy_generators(gens)
+        assert syz
+        for z in syz:
+            assert z.component(0) * gens[0] + z.component(1) * gens[1] == 0
+        koszul = ModuleElement.from_polynomials(syz[0].shape, [gens[1], -gens[0]])
+        assert reduces_to_zero(koszul, groebner_basis(syz))
 
 
 class TestDegreeCap:
@@ -172,6 +214,39 @@ class TestDegreeCap:
             groebner_basis(gens, cap=3)
         with pytest.raises(DegreeCapExceeded):
             buchberger(gens, cap=3)
+
+    def test_cap_past_exponent_limit_refused(self, ring):
+        gens = [ring.parse("x0 - x1 - x2")]
+        with pytest.raises(ExponentLimitError):
+            groebner_basis(gens, cap=256)
+        with pytest.raises(ExponentLimitError):
+            buchberger(gens, cap=256)
+        with pytest.raises(ExponentLimitError):
+            syzygy_generators(gens, cap=256)
+        with pytest.raises(ExponentLimitError):
+            normal_form(ring.parse("x0"), groebner_basis(gens), cap=256)
+
+    def test_reduction_past_exponent_limit_raises(self, ring):
+        # exponents past 255 would wrap the packed order key and return a
+        # wrong remainder; the default cap stops the reduction instead
+        gb = groebner_basis([ring.parse("x0 - x1 - x2")])
+        with pytest.raises(DegreeCapExceeded):
+            normal_form(ring.parse("x0^150*x1^150"), gb)
+        # below the limit the remainder is right: f - nf vanishes on the plane
+        f = ring.parse("x0^100*x1^100")
+        nf = normal_form(f, gb)
+        assert all(m[0] == 0 for m in nf.terms)
+        rng = random.Random(5)
+        for _ in range(3):
+            b, c = rng.randrange(ring.p), rng.randrange(ring.p)
+            assert (f - nf).evaluate((b + c, b, c)) == 0
+
+    def test_lex_tail_past_cap_raises(self, ring):
+        # the S-pair lcm x0*x1^100 has degree 101, but shifting the lex tail
+        # x1^200 by x1^100 builds x1^300, past what an order key can hold
+        gens = [ring.parse("x0 - x1^200"), ring.parse("x0*x1^100 - 1")]
+        with pytest.raises(DegreeCapExceeded):
+            buchberger(gens, order=Lex(3), cap=255)
 
     def test_cap_not_hit_when_criteria_settle_pairs(self, ring):
         # coprime leads: both engines finish without touching degree 6

@@ -103,6 +103,12 @@ class TestBasicOps:
             for e in range(6):
                 assert ideal.quotient_dim(e) == oracles.quotient_dim(gens, e)
 
+    def test_graded_dims_vanish_in_negative_degrees(self, ring):
+        for r in (ring, Ring("x")):
+            ideal = Ideal(r, [r.gens()[0] ** 2])
+            assert [ideal.graded_dim(e) for e in (-2, -1, 0, 2)] == [0, 0, 0, 1]
+            assert r.monomials_of_degree(-1) == []
+
     def test_minimal_gens(self, ring):
         ideal = Ideal.parse(ring, ["x0", "x1", "x0 + x1", "x0^2"])
         mg = ideal.minimal_gens()

@@ -21,7 +21,7 @@ from nodal.hilbert import (
     hilbert_polynomial_of_points,
     resolution_hilbert_polynomial,
 )
-from nodal.report import BettiTable, betti_table, regularity
+from nodal.report import BettiTable, betti_table
 
 import oracles
 
@@ -265,7 +265,7 @@ class TestReport:
         table = betti_table(resolve_quotient(tri))
         assert table.rows() == [[0, 0, 1], [1, 2, 3], [2, 3, 2]]
         assert table.pdim() == 2
-        assert regularity(table) == 1
+        assert table.regularity() == 1
         text = table.render()
         assert "total:" in text and "." in text
 
