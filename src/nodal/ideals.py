@@ -534,6 +534,33 @@ def _binary_form_squarefree(coeffs, delta: int, p: int) -> bool:
     return len(_uni_gcd(c, d, p)) == 1
 
 
+def _projection_rows(lin, delta: int, p: int, monos):
+    """Coefficient rows of l1^k * l2^(delta-k), k = 0..delta, over `monos`.
+
+    lin is the 2x3 int64 matrix of the coefficients, residues mod p, of x0,
+    x1, x2 in l1 and l2; monos lists the degree-delta monomials of a
+    3-variable ring.  A[k, a, b] holds the coefficient of
+    x0^a * x1^b * x2^(d-a-b) in l1^k * l2^(d-k).
+    Going from degree d to d+1, row 0 gains a factor l2 and row k the factor
+    l1 times row k-1; multiplying by a linear form is three shifted adds over
+    the whole stack.  Each product of two residues is below p^2 < 2^62 and is
+    reduced before the adds, so a sum of three stays below 3p and int64 is
+    exact for every p below linalg.PRIME_LIMIT.
+    """
+    A = np.ones((1, 1, 1), dtype=np.int64)
+    for d in range(delta):
+        src = np.concatenate([A[:1], A])
+        coef = np.concatenate([lin[1:], np.broadcast_to(lin[0], (d + 1, 3))])
+        nxt = np.zeros((d + 2, d + 2, d + 2), dtype=np.int64)
+        nxt[:, 1:, :-1] += coef[:, 0, None, None] * src % p
+        nxt[:, :-1, 1:] += coef[:, 1, None, None] * src % p
+        nxt[:, :-1, :-1] += coef[:, 2, None, None] * src % p
+        A = nxt % p
+    a_idx = [m[0] for m in monos]
+    b_idx = [m[1] for m in monos]
+    return A[:, a_idx, b_idx]
+
+
 def points_are_reduced(
     a: Ideal,
     seed: int = 0,
@@ -550,6 +577,10 @@ def points_are_reduced(
     repeated factor or a fat intersection can be bad luck of the projection
     center, so the test retries; schemes with embedded or fat structure fail
     every attempt.
+
+    The rows spanning W come from `_projection_rows`, a numpy recurrence on
+    the coefficient matrix of (l1, l2) that is exact in int64: every term
+    stays below 3p before its final reduction.
     """
     ring = a.ring
     if ring.nvars != 3:
@@ -563,7 +594,6 @@ def points_are_reduced(
     gb = a.gb(cap=cap)
     rows, monos = _ideal_degree_basis_rows(gb, delta)
     R, piv = linalg.rref(rows, ring.p)
-    col = {m: i for i, m in enumerate(monos)}
     used = 0
     for _ in range(attempts):
         used += 1
@@ -575,16 +605,7 @@ def points_are_reduced(
                 lin[j, m.index(1)] = c
         if linalg.rank(lin, ring.p) < 2:
             continue
-        pow1 = [ring.one()]
-        pow2 = [ring.one()]
-        for _k in range(delta):
-            pow1.append(pow1[-1] * l1)
-            pow2.append(pow2[-1] * l2)
-        wrows = np.zeros((delta + 1, len(monos)), dtype=np.int64)
-        for k in range(delta + 1):
-            w = pow1[k] * pow2[delta - k]
-            for m, c in w.terms.items():
-                wrows[k, col[m]] = c
+        wrows = _projection_rows(lin, delta, ring.p, monos)
         reduced_w = linalg.reduce_rows(R, piv, wrows, ring.p)
         lam = linalg.nullspace(reduced_w.T, ring.p)
         if lam.shape[0] == 0:

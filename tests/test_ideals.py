@@ -1,11 +1,13 @@
 """Ideal operations against set-arithmetic and evaluation oracles."""
 import random
 
+import numpy as np
 import pytest
 
 from nodal import InvariantViolation, Ring
 from nodal.ideals import (
     Ideal,
+    _projection_rows,
     codimension,
     curve_is_squarefree,
     eliminate,
@@ -21,6 +23,7 @@ from nodal.ideals import (
     scheme_length,
     symbolic_square,
 )
+from nodal.linalg import PRIME_LIMIT
 
 import oracles
 
@@ -363,6 +366,48 @@ class TestFiniteSchemes:
         sq = symbolic_square(meet)
         for e in range(2, 8):
             assert sq.graded_dim(e) == oracles.double_vanishing_dim(ring, pts, e)
+
+
+def _projection_rows_reference(l1, l2, delta, monos):
+    """Rows l1^k * l2^(delta-k) from Polynomial products, the loop that
+    points_are_reduced used before its numpy recurrence."""
+    ring = l1.ring
+    col = {m: i for i, m in enumerate(monos)}
+    pow1 = [ring.one()]
+    pow2 = [ring.one()]
+    for _k in range(delta):
+        pow1.append(pow1[-1] * l1)
+        pow2.append(pow2[-1] * l2)
+    wrows = np.zeros((delta + 1, len(monos)), dtype=np.int64)
+    for k in range(delta + 1):
+        w = pow1[k] * pow2[delta - k]
+        for m, c in w.terms.items():
+            wrows[k, col[m]] = c
+    return wrows
+
+
+class TestProjectionRows:
+    @pytest.mark.parametrize("p", [32003, PRIME_LIMIT - 1])
+    def test_matches_polynomial_products(self, p):
+        ring = Ring("x0,x1,x2", p)
+        rng = random.Random(53)
+        pairs = [
+            (ring.random_linear(rng), ring.random_linear(rng)),
+            # zero coefficients in every shift direction, and p - 1
+            (ring.parse("x0"), ring.parse("x1 + x2")),
+            (ring.parse("x2"), ring.parse("x0 - x1")),
+        ]
+        for l1, l2 in pairs:
+            lin = np.zeros((2, 3), dtype=np.int64)
+            for j, f in enumerate((l1, l2)):
+                for m, c in f.terms.items():
+                    lin[j, m.index(1)] = c
+            for delta in (1, 2, 19, 36):
+                monos = ring.monomials_of_degree(delta)
+                got = _projection_rows(lin, delta, p, monos)
+                want = _projection_rows_reference(l1, l2, delta, monos)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (str(l1), str(l2), delta)
 
 
 class TestReducedness:

@@ -144,3 +144,37 @@ def test_largest_prime_is_exact():
         assert piv == ref_piv
         assert R.tolist() == ref_R
         assert linalg.reduce_rows(R, piv, B, p).tolist() == ref_C
+
+
+@pytest.mark.parametrize("p", [P, linalg.PRIME_LIMIT - 1])
+def test_reduce_rows_against_exact_reference(p):
+    # A has rank 3 in 7 columns and its pivots skip columns 1, 3 and 4; at
+    # PRIME_LIMIT - 1 reduce_rows takes one slice per pivot.
+    rng = random.Random(59)
+    basis = random_matrix(rng, 3, 7, p)
+    basis[0, :] = [1, 5, 0, 2, 3, 0, 4]
+    basis[1, :2] = 0
+    basis[1, 2] = 1
+    basis[2, :5] = 0
+    basis[2, 5] = 1
+    mix = random_matrix(rng, 5, 3, p)
+    # Python-integer products: at PRIME_LIMIT - 1 they would overflow int64
+    A = (mix.astype(object) @ basis.astype(object) % p).astype(np.int64)
+    in_span = ((3 * basis[0].astype(object) + 7 * basis[2]) % p).astype(np.int64)
+    in_span = in_span.reshape(1, -1)
+    cases = [
+        random_matrix(rng, 4, 7, p),
+        in_span,
+        np.zeros((3, 7), dtype=np.int64),
+        np.zeros((0, 7), dtype=np.int64),
+    ]
+    R, piv = linalg.rref(A, p)
+    assert piv == [0, 2, 5]
+    for B in cases:
+        ref_R, _, ref_C = _exact_rref_and_reduce(A, B, p)
+        assert R.tolist() == ref_R
+        C = linalg.reduce_rows(R, piv, B, p)
+        assert C.dtype == np.int64
+        assert C.shape == B.shape
+        assert C.tolist() == ref_C
+    assert not linalg.reduce_rows(R, piv, in_span, p).any()
