@@ -25,7 +25,6 @@ from .ring import (
     Polynomial,
     Ring,
     parse_polynomial,
-    parse_ring_header,
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -64,7 +63,6 @@ from .resolution import (
 from .hilbert import (
     cm_regularity_crosscheck,
     hilbert_function,
-    hilbert_polynomial_of_points,
 )
 from .report import BettiTable, VerdictReport, betti_table
 from .curves import (
@@ -83,7 +81,6 @@ from .curves import (
     nodal_curve_through,
     parse_fixture,
     rational_curve_implicitize,
-    singular_set_ideal_nodescusps,
 )
 from .validators import (
     STATEMENTS,

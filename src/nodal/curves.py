@@ -274,19 +274,6 @@ def conductor_from_components(
     return _fill_report(blended, spec.degree, route, cap)
 
 
-def singular_set_ideal_nodescusps(
-    spec: CurveSpec, cap: int = DEFAULT_DEGREE_CAP, seed: int = 0
-) -> Ideal:
-    """Saturated ideal of the reduced singular set for node/cusp curves.
-
-    Same blend as the conductor formula, but the per-component hints are
-    read as reduced singular-point ideals; for nodal components the two
-    notions agree, and a cuspidal component must carry its hint.
-    """
-    hints = _component_hints(spec, cap, seed)
-    return _blend(spec, hints, cap)
-
-
 def intersection_points_ideal(spec: CurveSpec, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     """Saturated ideal of the locus where at least two components meet."""
     ring = spec.ring
@@ -530,7 +517,10 @@ def parse_fixture(text: str, prime: int | None = None) -> Fixture:
     names = None
     for token in head[1:]:
         if token.startswith("p="):
-            header_p = int(token[2:])
+            try:
+                header_p = int(token[2:])
+            except ValueError:
+                raise ParseError(f"bad ring header prime {token!r}") from None
         elif token.startswith("vars="):
             names = token[5:]
         else:
@@ -542,7 +532,10 @@ def parse_fixture(text: str, prime: int | None = None) -> Fixture:
             check_characteristic(header_p)
         except CharacteristicError as exc:
             raise ParseError(f"bad ring header: {exc}") from None
-    ring = Ring(names, p=prime if prime is not None else header_p)
+    try:
+        ring = Ring(names, p=prime if prime is not None else header_p)
+    except ValueError as exc:
+        raise ParseError(f"bad ring header: {exc}") from None
 
     components: list[CurveComponent] = []
     generators: list[Polynomial] = []

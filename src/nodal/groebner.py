@@ -1,11 +1,13 @@
 """Groebner bases for ideals and submodules of twisted free modules.
 
-Two engines share the work.  A degreewise Macaulay-matrix elimination handles
-homogeneous ideal input: it row-reduces the span of all monomial multiples of
-the current basis one degree at a time, harvesting new lead monomials until no
-S-pair degree is outstanding.  For every ideal this yields the unique reduced
-basis directly.  Everything else (modules, inhomogeneous input, syzygies)
-goes through Buchberger with the Gebauer-Moeller pair criteria.
+`groebner_basis` picks one of two engines, and both queue S-pairs through one
+pair update with the Gebauer-Moeller criteria (`_new_pairs`).  Homogeneous
+input, ideals and submodules alike, goes to a degreewise Macaulay-matrix
+elimination: it row-reduces the span of the monomial multiples of the current
+basis one degree at a time, harvesting new lead terms until no S-pair degree
+is outstanding, and yields the reduced basis directly.  Inhomogeneous input
+goes to Buchberger's algorithm and a final interreduction.  Syzygies run the
+same Buchberger core on the rows (g_i | e_i).
 
 Terms of a module element are keyed (component, monomial) and compared through
 integer keys, see ring.py.  Component twists record generator degrees, so the
@@ -19,9 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegreeCapExceeded, InvariantViolation, RingMismatchError
+from .errors import (
+    DegreeCapExceeded,
+    ExponentLimitError,
+    InvariantViolation,
+    RingMismatchError,
+)
 from .ring import (
     MAX_EXPONENT,
+    BlockElimination,
     Mono,
     MonomialOrder,
     Polynomial,
@@ -84,11 +92,22 @@ class ModuleOrder:
 
 
 class PositionOverTerm(ModuleOrder):
-    """Earlier components dominate; ties broken by the base ring order."""
+    """Earlier components dominate; ties broken by the base ring order.
+
+    The component sits 8*(n+2) bits up, clear of a grevlex or lex key of a
+    monomial within the exponent limit.  A block-elimination key is wider, so
+    it would overlap the component and the order would stop being position
+    over term: such a base is refused.
+    """
 
     __slots__ = ("base", "rank", "name", "_shift")
 
     def __init__(self, base: MonomialOrder, rank: int):
+        if isinstance(base, BlockElimination):
+            raise ExponentLimitError(
+                f"a {base.name} key is wider than the position-over-term"
+                " component shift"
+            )
         self.base = base
         self.rank = rank
         self.name = f"pot:{rank}:{base.name}"
@@ -193,10 +212,9 @@ def _dict_to_poly(ring: Ring, d: dict) -> Polynomial:
 class _Gel:
     """Engine-internal basis element: monic, lead split off the tail."""
 
-    __slots__ = ("index", "lead", "key", "tail", "full", "top")
+    __slots__ = ("lead", "key", "tail", "full", "top")
 
-    def __init__(self, index, lead, key, tail, full, top):
-        self.index = index
+    def __init__(self, lead, key, tail, full, top):
         self.lead = lead
         self.key = key
         self.tail = tail  # tuple of (term, coeff), lead excluded
@@ -204,7 +222,7 @@ class _Gel:
         self.top = top  # largest total degree of a term
 
 
-def _make_gel(ring: Ring, d: dict, keyf, index: int) -> _Gel:
+def _make_gel(ring: Ring, d: dict, keyf) -> _Gel:
     lead = max(d, key=keyf)
     lc = d[lead]
     if lc != 1:
@@ -212,7 +230,7 @@ def _make_gel(ring: Ring, d: dict, keyf, index: int) -> _Gel:
         d = {t: c * inv % ring.p for t, c in d.items()}
     tail = tuple((t, c) for t, c in d.items() if t != lead)
     top = max(mono_degree(m) for _, m in d)
-    return _Gel(index, lead, keyf(lead), tail, d, top)
+    return _Gel(lead, keyf(lead), tail, d, top)
 
 
 def _normal_form_dict(work_in, gels_by_comp, keyf, p, cap):
@@ -271,6 +289,34 @@ def _sub_into(acc: dict, d: dict, p: int):
             acc.pop(t, None)
 
 
+def _new_pairs(leads, lead, coprime_skip):
+    """Gebauer-Moeller update: the S-pairs a new lead term opens.
+
+    leads: the earlier lead terms, by basis index.  Returns (i, lcm) pairs in
+    increasing i, only between leads in the same component.  A candidate whose
+    lcm another candidate's lcm properly divides is dropped (criterion M), one
+    candidate is kept per distinct lcm (criterion F), and with coprime_skip a
+    kept pair of coprime leads is dropped too: its S-pair reduces to zero,
+    which holds in rank one only.
+    """
+    comp, mono = lead
+    cand = [
+        (i, mono_lcm(m, mono)) for i, (c, m) in enumerate(leads) if c == comp
+    ]
+    pairs = []
+    decided: set[Mono] = set()
+    for i, lcm in cand:
+        if lcm in decided:
+            continue
+        decided.add(lcm)
+        if any(o != lcm and mono_divides(o, lcm) for _, o in cand):
+            continue
+        if coprime_skip and lcm == mono_mul(leads[i][1], mono):
+            continue
+        pairs.append((i, lcm))
+    return pairs
+
+
 def _buchberger_engine(ring, elems, keyf, cap, rank1, frontier):
     """Shared Buchberger core.
 
@@ -289,35 +335,13 @@ def _buchberger_engine(ring, elems, keyf, cap, rank1, frontier):
     heap: list[tuple[int, int, int]] = []
 
     def insert(d):
-        t = len(gels)
-        g = _make_gel(ring, d, keyf, t)
+        g = _make_gel(ring, d, keyf)
         if g.lead[0] >= frontier:
             syzygies.append(d)
             return
-        cand = []
-        for other in gels:
-            if other.lead[0] != g.lead[0]:
-                continue
-            cand.append((other.index, mono_lcm(other.lead[1], g.lead[1])))
-        # Gebauer-Moeller: drop candidates whose lcm is properly divisible by
-        # another candidate's lcm, then keep one candidate per distinct lcm.
-        kept = []
-        for i, lcm in cand:
-            drop = False
-            for j, lcm2 in cand:
-                if j != i and lcm2 != lcm and mono_divides(lcm2, lcm):
-                    drop = True
-                    break
-            if not drop:
-                kept.append((i, lcm))
-        seen: set[Mono] = set()
-        deduped = []
-        for i, lcm in sorted(kept):
-            if lcm in seen:
-                continue
-            seen.add(lcm)
-            deduped.append((i, lcm))
-        # Prune queued pairs strictly covered by the new lead.
+        t = len(gels)
+        new = _new_pairs([h.lead for h in gels], g.lead, rank1)
+        # Criterion B: prune queued pairs strictly covered by the new lead.
         lm = g.lead[1]
         for (i, j), lcm in list(alive.items()):
             if gels[i].lead[0] != g.lead[0]:
@@ -329,10 +353,7 @@ def _buchberger_engine(ring, elems, keyf, cap, rank1, frontier):
             if mono_lcm(gels[j].lead[1], lm) == lcm:
                 continue
             del alive[(i, j)]
-        for i, lcm in deduped:
-            other = gels[i]
-            if rank1 and lcm == mono_mul(other.lead[1], g.lead[1]):
-                continue  # coprime leads: the S-pair reduces to zero
+        for i, lcm in new:
             alive[(i, t)] = lcm
             heapq.heappush(heap, (mono_degree(lcm), i, t))
         gels.append(g)
@@ -385,7 +406,7 @@ def _interreduce(ring, gels, keyf, cap):
             if h is not g:
                 others.setdefault(h.lead[0], []).append(h)
         rem = _normal_form_dict(g.full, others, keyf, p, cap)
-        out.append(_make_gel(ring, rem, keyf, g.index))
+        out.append(_make_gel(ring, rem, keyf))
     out.sort(key=lambda g: g.key)
     return out
 
@@ -438,10 +459,23 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     occurring term divisible by a basis lead pulls in one shifted copy of
     that basis element as a row.  The echelon form then reduces every S-pair
     of the degree in one pass, and a pivot at a column no basis lead divides
-    is a genuinely new lead.  S-pair degrees are queued so no degree with
-    outstanding pairs is skipped, which is the Buchberger termination
-    argument; pairs live only between leads in the same component, and the
-    coprime-lead shortcut is only sound in rank one.
+    is a genuinely new lead.  S-pairs are queued through `_new_pairs` by the
+    degree of their lcm, so no degree with outstanding pairs is skipped,
+    which is the Buchberger termination argument; the coprime-lead shortcut
+    is only sound in rank one.
+
+    Returns the reduced basis as term dicts sorted by ascending lead key,
+    with no interreduction pass, because the harvested rows are already
+    reduced:
+    - each row comes from a fully reduced `rref` with unit pivots, so it is
+      monic and free of every other pivot column of its matrix;
+    - symbolic preprocessing puts a pivot at every occurring term that an
+      earlier lead divides, so no tail term is divisible by an earlier lead;
+    - degrees are processed in increasing order, and a lead of higher degree
+      never divides a term of lower degree in the same component, so no later
+      lead divides a tail term either;
+    - a new lead is kept only when no lead found so far divides it, and leads
+      of one degree are distinct pivots, so the lead set is minimal.
     """
     check_degree_cap(cap)
     p = ring.p
@@ -449,21 +483,9 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     for terms, d in inputs:
         by_deg.setdefault(d, []).append(terms)
     pending = set(by_deg)
-    basis: list[tuple[Term, dict, int]] = []  # (lead term, terms, degree)
-    pairs: dict[int, set[tuple[int, int]]] = {}
-
-    def queue_pairs(j):
-        cj, mj = basis[j][0]
-        for i in range(j):
-            ci, mi = basis[i][0]
-            if ci != cj:
-                continue
-            lcm = mono_lcm(mi, mj)
-            if coprime_skip and lcm == mono_mul(mi, mj):
-                continue  # coprime leads settle their S-pair for free
-            e = mono_degree(lcm) + twists[cj]
-            pairs.setdefault(e, set()).add((i, j))
-            pending.add(e)
+    basis: list[dict] = []
+    leads: list[Term] = []  # lead term of each basis element
+    pairs: dict[int, list[tuple[int, int, Mono]]] = {}
 
     while pending:
         e = min(pending)
@@ -474,15 +496,10 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
             )
         seeds = [dict(t) for t in by_deg.get(e, ())]
         mults = set()
-        for i, j in pairs.pop(e, ()):
-            mi, mj = basis[i][0][1], basis[j][0][1]
-            lcm = mono_lcm(mi, mj)
-            mults.add((i, tuple(a - b for a, b in zip(lcm, mi))))
-            mults.add((j, tuple(a - b for a, b in zip(lcm, mj))))
-        for idx, q in mults:
-            seeds.append(
-                {(tc, mono_mul(tm, q)): c for (tc, tm), c in basis[idx][1].items()}
-            )
+        for i, j, lcm in pairs.pop(e, ()):
+            mults.add((i, mono_div(lcm, leads[i][1])))
+            mults.add((j, mono_div(lcm, leads[j][1])))
+        seeds.extend(_shift_dict(basis[idx], q) for idx, q in mults)
         if not seeds:
             continue
         occurring = set()
@@ -494,12 +511,12 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
                 continue
             occurring.add(t)
             tc, tm = t
-            for bidx, ((bc, bm), terms, _) in enumerate(basis):
+            for bidx, (bc, bm) in enumerate(leads):
                 if bc != tc or not mono_divides(bm, tm):
                     continue
                 q = tuple(a - b for a, b in zip(tm, bm))
                 if (bidx, q) not in mults:
-                    row = {(rc, mono_mul(rm, q)): c for (rc, rm), c in terms.items()}
+                    row = _shift_dict(basis[bidx], q)
                     reducers.append(row)
                     stack.extend(row)
                 break
@@ -514,14 +531,18 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
         for r, cidx in enumerate(piv):
             lead = cols[cidx]
             lc, lm = lead
-            if any(
-                bc == lc and mono_divides(bm, lm) for (bc, bm), _, _ in basis
-            ):
+            if any(bc == lc and mono_divides(bm, lm) for bc, bm in leads):
                 continue
             terms = {cols[k]: int(v) for k, v in enumerate(R[r]) if v}
-            basis.append((lead, terms, e))
-            queue_pairs(len(basis) - 1)
-    return basis
+            j = len(basis)
+            for i, lcm in _new_pairs(leads, lead, coprime_skip):
+                d = mono_degree(lcm) + twists[lc]
+                pairs.setdefault(d, []).append((i, j, lcm))
+                pending.add(d)
+            basis.append(terms)
+            leads.append(lead)
+    ranked = sorted(range(len(basis)), key=lambda i: keyf(leads[i]))
+    return [basis[i] for i in ranked]
 
 
 def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
@@ -544,17 +565,9 @@ def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasi
             raise ValueError("macaulay_gb needs homogeneous input")
 
     keyf = RingOrderAdapter(order).key
-    inputs = [
-        ({(0, m): c for m, c in f.terms.items()}, f.homogeneous_degree())
-        for f in gens
-    ]
+    inputs = [(_poly_to_dict(f), f.homogeneous_degree()) for f in gens]
     basis = _macaulay_engine(ring, (0,), inputs, keyf, cap, coprime_skip=True)
-    gels = [
-        _make_gel(ring, dict(terms), keyf, i)
-        for i, (_, terms, _) in enumerate(basis)
-    ]
-    gels = _interreduce(ring, gels, keyf, cap)
-    elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
+    elements = tuple(_dict_to_poly(ring, terms) for terms in basis)
     return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements)
 
 
@@ -570,39 +583,44 @@ def macaulay_module_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> Groeb
     shape = gens[0].shape
     if order is None:
         order = PositionOverTerm(ring.grevlex, shape.rank)
-    keyf = order.key
 
     inputs = [(dict(z.terms), z.module_degree()) for z in gens]
     basis = _macaulay_engine(
-        ring, shape.twists, inputs, keyf, cap, coprime_skip=False
+        ring, shape.twists, inputs, order.key, cap, coprime_skip=False
     )
-    gels = [
-        _make_gel(ring, dict(terms), keyf, i)
-        for i, (_, terms, _) in enumerate(basis)
-    ]
-    gels = _interreduce(ring, gels, keyf, cap)
-    elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
+    elements = tuple(ModuleElement(ring, shape, terms) for terms in basis)
     return GroebnerBasis(ring, shape, order, elements)
 
 
 def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Reduced basis by Buchberger's algorithm; the general-purpose path."""
+    """Reduced basis by Buchberger's algorithm, for ideals and submodules."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    if isinstance(gens[0], ModuleElement):
-        return _module_groebner(gens, order, cap)
     ring = gens[0].ring
-    order = _resolve_order(ring, order)
-    for f in gens:
-        if f.ring != ring:
-            raise RingMismatchError("generators over different rings")
-    keyf = RingOrderAdapter(order).key
-    dicts = [_poly_to_dict(f) for f in gens]
-    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, True, 1)
+    module = isinstance(gens[0], ModuleElement)
+    if module:
+        _check_module_gens(gens)
+        shape = gens[0].shape
+        if order is None:
+            order = PositionOverTerm(ring.grevlex, shape.rank)
+        keyf = order.key
+        dicts = [dict(z.terms) for z in gens]
+    else:
+        order = _resolve_order(ring, order)
+        for f in gens:
+            if f.ring != ring:
+                raise RingMismatchError("generators over different rings")
+        shape = FreeModuleShape.plain(1)
+        keyf = RingOrderAdapter(order).key
+        dicts = [_poly_to_dict(f) for f in gens]
+    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, not module, shape.rank)
     gels = _interreduce(ring, gels, keyf, cap)
-    elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
-    return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements)
+    if module:
+        elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
+    else:
+        elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
+    return GroebnerBasis(ring, shape, order, elements)
 
 
 def _sorted_terms(z) -> tuple:
@@ -623,7 +641,10 @@ def _generator_set(elements) -> frozenset:
 
 
 def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Reduced Groebner basis; dispatches to the fastest valid engine.
+    """Reduced Groebner basis; the one place that picks the engine.
+
+    Homogeneous input goes to `macaulay_gb` (ideals) or `macaulay_module_gb`
+    (submodules), anything else to `buchberger`.
 
     Each ring caches the bases computed over it, keyed by the order's name,
     the cap, the module shape (None for polynomials) and the generator set,
@@ -649,35 +670,18 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     if gb is not None:
         cache.move_to_end(key)
         return gb
-    if module:
-        gb = _module_groebner(gens, order, cap)
-    elif all(f.is_homogeneous() for f in live):
-        gb = macaulay_gb(live, order, cap)
-    else:
+    if not all(z.is_homogeneous() for z in live):
         gb = buchberger(gens, order, cap)
+    elif module:
+        gb = macaulay_module_gb(live, order, cap)
+    else:
+        gb = macaulay_gb(live, order, cap)
     for k in (key, (order.name, cap, shape, _generator_set(gb.elements))):
         cache[k] = gb
         cache.move_to_end(k)
     while len(cache) > BASIS_CACHE_SIZE:
         cache.popitem(last=False)
     return gb
-
-
-def _module_groebner(gens, order, cap):
-    _check_module_gens(gens)
-    ring = gens[0].ring
-    shape = gens[0].shape
-    if order is None:
-        order = PositionOverTerm(ring.grevlex, shape.rank)
-    live = [z for z in gens if z]
-    if live and all(z.is_homogeneous() for z in live):
-        return macaulay_module_gb(live, order, cap)
-    keyf = order.key
-    dicts = [dict(z.terms) for z in gens]
-    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, False, shape.rank)
-    gels = _interreduce(ring, gels, keyf, cap)
-    elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
-    return GroebnerBasis(ring, shape, order, elements)
 
 
 def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
@@ -698,17 +702,13 @@ def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
         d = dict(f.terms)
         src = [dict(z.terms) for z in gb.elements]
     by_comp: dict[int, list[_Gel]] = {}
-    for i, gd in enumerate(src):
-        g = _make_gel(ring, gd, keyf, i)
+    for gd in src:
+        g = _make_gel(ring, gd, keyf)
         by_comp.setdefault(g.lead[0], []).append(g)
     rem = _normal_form_dict(d, by_comp, keyf, ring.p, cap)
     if isinstance(f, Polynomial):
         return _dict_to_poly(ring, rem)
     return ModuleElement(ring, gb.shape, rem)
-
-
-def reduces_to_zero(f, gb: GroebnerBasis) -> bool:
-    return not normal_form(f, gb)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .groebner import DEFAULT_DEGREE_CAP
-from .ideals import Ideal, scheme_length
+from .ideals import Ideal
 from .report import VerdictReport
 from .resolution import FreeResolution, resolve_quotient
 
@@ -85,9 +85,6 @@ class HilbertData:
             return self.values[e]
         return evaluate_polynomial(self.polynomial, e)
 
-    def polynomial_value(self, e: int) -> int:
-        return evaluate_polynomial(self.polynomial, e)
-
     def is_constant_polynomial(self) -> bool:
         return len(self.polynomial) <= 1
 
@@ -133,16 +130,6 @@ def hilbert_function(
             raise InvariantViolation("Hilbert routes disagree")
     poly = resolution_hilbert_polynomial(resolution)
     return _package(values, poly)
-
-
-def hilbert_polynomial_of_points(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Constant Hilbert polynomial of a finite scheme, two ways."""
-    data = hilbert_function(ideal, cap=cap)
-    delta = data.constant()
-    stabilized = scheme_length(ideal)
-    if delta != stabilized:
-        raise InvariantViolation("point count disagrees with function stabilization")
-    return delta
 
 
 def cm_regularity_crosscheck(

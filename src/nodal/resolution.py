@@ -19,7 +19,6 @@ from .errors import InvariantViolation
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     FreeModuleShape,
-    ModuleElement,
     minimal_module_generators,
     syzygy_generators,
 )
@@ -223,65 +222,6 @@ def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution
     _extend_by_syzygies(gens, twists, maps, cap)
     tw, ms = _cancel_constants(ring, twists, maps)
     return _freeze(ring, tw, ms, ideal.graded_dim)
-
-
-def minimal_gens_modulo(b: Ideal, a: Ideal, cap: int = DEFAULT_DEGREE_CAP):
-    """Subset of b's minimal generators that minimally generates b modulo a.
-
-    Greedy by ascending degree: a candidate is dropped exactly when it
-    already lies in a plus the survivors, which by the graded Nakayama
-    argument picks a basis of b/(a + m·b).
-    """
-    if b.ring != a.ring:
-        raise InvariantViolation("ideals live in different rings")
-    cand = sorted(b.minimal_gens(), key=lambda g: g.homogeneous_degree())
-    chosen: list = []
-    for g in cand:
-        probe = Ideal(b.ring, tuple(a.gens) + tuple(chosen))
-        if not probe.contains(g):
-            chosen.append(g)
-    return chosen
-
-
-def resolve_quotient_module(
-    b: Ideal, a: Ideal, cap: int = DEFAULT_DEGREE_CAP
-) -> FreeResolution:
-    """Minimal free resolution of the subquotient module b/a.
-
-    Presentation: free module on minimal generators of b modulo a, with
-    relations the syzygies of those generators together with a's, truncated
-    to the b coordinates.
-    """
-    ring = b.ring
-    if not b.contains_ideal(a):
-        raise InvariantViolation("quotient module needs a contained in b")
-    if not (b.is_homogeneous() and a.is_homogeneous()):
-        raise ValueError("resolutions need homogeneous input")
-    bgens = minimal_gens_modulo(b, a, cap)
-    if not bgens:
-        return _freeze(ring, [()], [], lambda e: 0)
-    bdegs = tuple(g.homogeneous_degree() for g in bgens)
-    shape = FreeModuleShape(len(bgens), bdegs)
-    agens = a.minimal_gens()
-    combined = list(bgens) + list(agens)
-    rel = []
-    for z in syzygy_generators(combined, cap=cap):
-        head = z.components()[: len(bgens)]
-        if any(head):
-            rel.append(ModuleElement.from_polynomials(shape, head))
-    rel = minimal_module_generators(rel)
-    twists: list = [bdegs]
-    maps: list = []
-    if rel:
-        twists.append(tuple(z.module_degree() for z in rel))
-        maps.append([[z.component(r) for z in rel] for r in range(len(bgens))])
-        _extend_by_syzygies(rel, twists, maps, cap)
-    tw, ms = _cancel_constants(ring, twists, maps)
-
-    def hf(e: int) -> int:
-        return b.graded_dim(e) - a.graded_dim(e)
-
-    return _freeze(ring, tw, ms, hf)
 
 
 def resolve_presented(

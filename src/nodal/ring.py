@@ -193,7 +193,6 @@ class BlockElimination(MonomialOrder):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-_HEADER_RE = re.compile(r"\s*ring\s+p\s*=\s*(\d+)\s+vars\s*=\s*([^\s]+)\s*\Z")
 
 
 def check_characteristic(p: int) -> None:
@@ -654,15 +653,3 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
         pos = skip_ws(pos)
     return Polynomial(ring, terms)
 
-
-def parse_ring_header(line: str) -> Ring:
-    """Parse a `ring p=32003 vars=x0,x1,x2` header line."""
-    mt = _HEADER_RE.match(line)
-    if not mt:
-        raise ParseError(f"bad ring header: {line!r}")
-    p = int(mt.group(1))
-    names = mt.group(2).split(",")
-    try:
-        return Ring(names, p=p)
-    except (ValueError, CharacteristicError) as exc:
-        raise ParseError(f"bad ring header: {exc}") from None

@@ -26,7 +26,6 @@ from nodal import (
     resolve_ideal,
     saturate,
     scheme_length,
-    singular_set_ideal_nodescusps,
     symbolic_square,
 )
 from nodal import groebner
@@ -208,15 +207,23 @@ class TestTwoRoutes:
 
 class TestSingularSet:
     def test_cuspidal_component_with_hint(self, ring):
-        # cuspidal cubic with its reduced singular point supplied plus a line
+        # cuspidal cubic with its reduced singular point supplied plus a line:
+        # the component blend saturates hint * line + cubic * (x2), the
+        # reduced singular set when the hints are reduced point ideals
         cusp_pt = Ideal(ring, [ring.parse("x0"), ring.parse("x1")])
         comps = [
             CurveComponent.from_form(ring.parse("x1^2*x2 - x0^3"), cusp_pt),
             CurveComponent.from_form(ring.parse("x2")),
         ]
-        sing = singular_set_ideal_nodescusps(CurveSpec(comps))
-        # cusp at (0:0:1) plus the three meeting points of line and cubic
-        assert scheme_length(sing) == 4
+        rep = conductor_from_components(CurveSpec(comps))
+        # cusp at (0:0:1) plus the line meeting the cubic at (0:1:0) thrice
+        assert rep.delta == 4
+        assert scheme_length(rep.conductor) == 4
+        assert [str(g) for g in rep.conductor.gb().elements] == [
+            "x1*x2",
+            "x0*x2",
+            "x0^3",
+        ]
 
 
 class TestMeetingLocus:

@@ -24,7 +24,7 @@ from nodal import (
     syzygy_generators,
 )
 from nodal import groebner
-from nodal.groebner import BASIS_CACHE_SIZE, RingOrderAdapter, reduces_to_zero
+from nodal.groebner import BASIS_CACHE_SIZE, RingOrderAdapter, macaulay_module_gb
 
 import oracles
 
@@ -36,6 +36,19 @@ def ring():
 
 def random_homogeneous_ideal(ring, rng, count=3, maxdeg=3):
     return [ring.random_form(rng.randrange(1, maxdeg + 1), rng) for _ in range(count)]
+
+
+MODULE_SHAPE = FreeModuleShape(2, (0, 1))
+
+
+def random_homogeneous_module(ring, rng, count=3):
+    """Homogeneous elements of degree 2 or 3 in the rank-2 module twisted (0, 1)."""
+    gens = []
+    for _ in range(count):
+        d = rng.randrange(2, 4)
+        comps = [ring.random_form(d - t, rng) for t in MODULE_SHAPE.twists]
+        gens.append(ModuleElement.from_polynomials(MODULE_SHAPE, comps))
+    return gens
 
 
 class TestKnownBases:
@@ -91,6 +104,26 @@ class TestEngineAgreement:
             b = buchberger(gens, order=order)
             assert list(a.elements) == list(b.elements)
 
+    def test_module_engines_agree(self, ring):
+        rng = random.Random(2121)
+        cases = [random_homogeneous_module(ring, rng) for _ in range(8)]
+        # coprime leads in one component: their S-pair does not reduce to
+        # zero in a module, so neither engine may skip it
+        x0, x1, x2 = ring.gens()
+        cases.append([
+            ModuleElement.from_polynomials(MODULE_SHAPE, [x0 * x0, x1]),
+            ModuleElement.from_polynomials(MODULE_SHAPE, [x1 * x1, x2]),
+        ])
+        plain = FreeModuleShape.plain(2)
+        cases.append([
+            ModuleElement.from_polynomials(plain, [x0, x1]),
+            ModuleElement.from_polynomials(plain, [x1, x0]),
+        ])
+        for gens in cases:
+            a = macaulay_module_gb(gens)
+            b = buchberger(gens)
+            assert list(a.elements) == list(b.elements)
+
     def test_gb_is_sound_random(self, ring):
         rng = random.Random(99)
         for _ in range(10):
@@ -101,7 +134,7 @@ class TestEngineAgreement:
                 assert oracles.member(g, gens)
             # every generator reduces to zero
             for f in gens:
-                assert reduces_to_zero(f, gb)
+                assert not normal_form(f, gb)
 
     def test_quotient_dims_match_lead_ideal(self, ring):
         # dim of a quotient slice equals the count of standard monomials
@@ -116,13 +149,42 @@ class TestEngineAgreement:
                 assert want == got
 
 
+def assert_interreduction_is_identity(gb):
+    """The Macaulay engine's output is already reduced: interreducing it, as
+    Buchberger's output is, returns it unchanged and in the same order."""
+    keyf = gb.term_key()
+    dicts = [dict(z.terms) for z in gb.elements]
+    if gb.rank1:
+        dicts = [{(0, m): c for m, c in d.items()} for d in dicts]
+    gels = [groebner._make_gel(gb.ring, d, keyf) for d in dicts]
+    out = groebner._interreduce(gb.ring, gels, keyf, groebner.DEFAULT_DEGREE_CAP)
+    assert [g.full for g in out] == dicts
+
+
+class TestMacaulayOutputReduced:
+    @pytest.mark.parametrize(
+        "order", [None, Grevlex(3, (1, 2, 0)), Lex(3)], ids=["grevlex", "rotated", "lex"]
+    )
+    def test_ideals(self, ring, order):
+        rng = random.Random(3141)
+        for _ in range(8):
+            gens = random_homogeneous_ideal(ring, rng, count=rng.randrange(2, 4))
+            assert_interreduction_is_identity(macaulay_gb(gens, order=order))
+
+    def test_modules(self, ring):
+        rng = random.Random(2718)
+        for _ in range(6):
+            gens = random_homogeneous_module(ring, rng)
+            assert_interreduction_is_identity(macaulay_module_gb(gens))
+
+
 class TestNormalForm:
     def test_nf_is_zero_exactly_on_members(self, ring):
         gens = [ring.parse("x0^2 - x1*x2"), ring.parse("x1^2 - x0*x2")]
         gb = groebner_basis(gens)
         inside = gens[0] * ring.parse("x2^2") + gens[1] * ring.parse("x0*x1")
-        assert reduces_to_zero(inside, gb)
-        assert not reduces_to_zero(ring.parse("x0*x1*x2"), gb)
+        assert not normal_form(inside, gb)
+        assert normal_form(ring.parse("x0*x1*x2"), gb)
 
     def test_nf_idempotent_and_linear(self, ring):
         rng = random.Random(55)
@@ -175,13 +237,8 @@ class TestSyzygyCompleteness:
 
     def test_module_input(self, ring):
         rng = random.Random(1414)
-        shape = FreeModuleShape(2, (0, 1))
         for _ in range(3):
-            gens = []
-            for _ in range(3):
-                d = rng.randrange(2, 4)
-                comps = [ring.random_form(d - t, rng) for t in shape.twists]
-                gens.append(ModuleElement.from_polynomials(shape, comps))
+            gens = random_homogeneous_module(ring, rng)
             assert_syzygies_complete(gens, syzygy_generators(gens))
 
     def test_zero_and_duplicate_generators(self, ring):
@@ -203,7 +260,7 @@ class TestSyzygyCompleteness:
         for z in syz:
             assert z.component(0) * gens[0] + z.component(1) * gens[1] == 0
         koszul = ModuleElement.from_polynomials(syz[0].shape, [gens[1], -gens[0]])
-        assert reduces_to_zero(koszul, groebner_basis(syz))
+        assert not normal_form(koszul, groebner_basis(syz))
 
 
 class TestDegreeCap:
@@ -332,9 +389,9 @@ class TestModuleBases:
             shape, [ring.parse("x0*x2 + x1^2"), ring.parse("x1*x2")]
         )
         # probe = x2*z1 + x1*z2
-        assert reduces_to_zero(probe, gb)
+        assert not normal_form(probe, gb)
         other = ModuleElement.from_polynomials(shape, [ring.zero(), ring.parse("x2")])
-        assert not reduces_to_zero(other, gb)
+        assert normal_form(other, gb)
 
     def test_twisted_degrees(self, ring):
         shape = FreeModuleShape(2, (1, 2))
@@ -381,6 +438,12 @@ class TestOrderAdapters:
         keyf = RingOrderAdapter(ring.grevlex).key
         assert keyf((0, (1, 0, 0))) == ring.grevlex.key((1, 0, 0))
 
+    def test_block_elimination_base_refused(self):
+        # its key is wider than the component shift: x0^2 in component 1
+        # would outrank 1 in component 0
+        with pytest.raises(ExponentLimitError):
+            PositionOverTerm(BlockElimination(3, (0,)), 2)
+
 
 @pytest.fixture
 def engine_runs(monkeypatch):
@@ -393,6 +456,23 @@ def engine_runs(monkeypatch):
 
         monkeypatch.setattr(groebner, name, counted)
     return runs
+
+
+def test_dispatch_by_homogeneity(ring, engine_runs):
+    # homogeneous input goes to the Macaulay engines, anything else to
+    # Buchberger, for ideals and modules alike
+    shape = FreeModuleShape.plain(2)
+    x0, x1, x2 = ring.gens()
+    cases = [
+        ([x0 * x1, x1 * x2], "macaulay_gb"),
+        ([x0 * x1 + x2, x1 * x2], "buchberger"),
+        ([ModuleElement.from_polynomials(shape, [x0, x1])], "macaulay_module_gb"),
+        ([ModuleElement.from_polynomials(shape, [x0, x1 * x2])], "buchberger"),
+    ]
+    for gens, engine in cases:
+        groebner_basis(gens)
+        assert engine_runs[-1] == engine
+    assert len(engine_runs) == len(cases)
 
 
 CACHE_GENS = ("x0^2 + 2*x1*x2", "x0*x1 + 3*x2^2", "x1^3 - x0*x2^2")

@@ -3,22 +3,27 @@ import random
 
 import pytest
 
-from nodal import InvariantViolation, Ring
-from nodal.ideals import Ideal, ideal_product, intersect, points_are_reduced, saturate
+from nodal import Ring
+from nodal.ideals import (
+    Ideal,
+    ideal_product,
+    intersect,
+    points_are_reduced,
+    saturate,
+    scheme_length,
+)
 from nodal.resolution import (
     _cancel_constants,
     _extend_by_syzygies,
     _freeze,
     free_graded_dim,
-    minimal_gens_modulo,
     resolve_ideal,
     resolve_quotient,
-    resolve_quotient_module,
 )
 from nodal.hilbert import (
     cm_regularity_crosscheck,
+    evaluate_polynomial,
     hilbert_function,
-    hilbert_polynomial_of_points,
     resolution_hilbert_polynomial,
 )
 from nodal.report import BettiTable, betti_table
@@ -105,7 +110,8 @@ class TestDeterminantalPoints:
         assert table.beta(1, 7) == 1
         assert table.beta(1, 8) == 1
         assert table.regularity() == 7
-        assert hilbert_polynomial_of_points(ideal) == 19
+        assert hilbert_function(ideal).constant() == 19
+        assert scheme_length(ideal) == 19
         assert saturate(ideal).same_ideal(ideal)
         verdict = cm_regularity_crosscheck(ideal)
         assert verdict.ok
@@ -134,40 +140,13 @@ class TestRandomPoints:
                 meet = rowspan if meet is None else intersect(meet, rowspan)
             res = resolve_quotient(meet)
             assert res.length == 2
-            assert hilbert_polynomial_of_points(meet) == npts
+            assert hilbert_function(meet).constant() == npts
+            assert scheme_length(meet) == npts
             assert cm_regularity_crosscheck(meet).ok
 
 
 class TestQuotientModules:
-    def test_shifted_point(self, ring):
-        a = Ideal.parse(ring, ["x0^2", "x1"])
-        b = Ideal.parse(ring, ["x0", "x1"])
-        res = resolve_quotient_module(b, a)
-        assert res.twists == ((1,), (2, 2), (3,))
-        assert res.regularity() == 1
-
-    def test_conormal_of_a_line_point(self, ring):
-        b = Ideal.parse(ring, ["x0", "x1"])
-        res = resolve_quotient_module(b, ideal_product(b, b))
-        assert res.twists == ((1, 1), (2, 2, 2, 2), (3, 3))
-
-    def test_zero_module(self, ring):
-        b = Ideal.parse(ring, ["x0^2"])
-        a = Ideal.parse(ring, ["x0"])
-        res = resolve_quotient_module(a, a)
-        assert res.twists == ((),)
-        assert res.regularity() == 0
-        assert resolve_quotient_module(b, b).twists == ((),)
-
-    def test_requires_containment(self, ring):
-        with pytest.raises(InvariantViolation):
-            resolve_quotient_module(Ideal.parse(ring, ["x0"]), Ideal.parse(ring, ["x1"]))
-
-    def test_minimal_gens_modulo(self, ring):
-        a = Ideal.parse(ring, ["x0"])
-        b = Ideal.parse(ring, ["x0", "x1", "x0*x2 + x1^2"])
-        gens = minimal_gens_modulo(b, a)
-        assert [str(g) for g in gens] == ["x1"]
+    """Free modules modulo explicit relations, through resolve_presented."""
 
     def test_presented_product_modulo_diagonal(self, ring):
         # (S/x0 x S/x1) / S: generators e1, e2, relations x0*e1, x1*e2,
@@ -233,7 +212,7 @@ class TestHilbert:
         quartic = Ideal(ring, [ring.random_form(4, random.Random(9))])
         data = hilbert_function(quartic)
         # d*e - d(d-3)/2 for a degree-d plane curve
-        assert data.polynomial_value(10) == 4 * 10 - 2
+        assert evaluate_polynomial(data.polynomial, 10) == 4 * 10 - 2
         assert not data.is_constant_polynomial()
 
     def test_routes_cross_checked_on_random_ideals(self, ring):

@@ -12,7 +12,7 @@ from nodal import (
     ParseError,
     Ring,
     RingMismatchError,
-    parse_ring_header,
+    parse_fixture,
 )
 
 from oracles import naive_mul, random_projective_point
@@ -269,13 +269,13 @@ class TestParsePrint:
 
 class TestHeader:
     def test_parse_header(self):
-        r = parse_ring_header("ring p=32003 vars=x0,x1,x2")
-        assert r == Ring("x0,x1,x2")
+        fx = parse_fixture("ring p=32003 vars=x0,x1,x2\ngenerator: x0")
+        assert fx.ring == Ring("x0,x1,x2")
 
     def test_header_other_prime(self):
-        r = parse_ring_header("ring p=32009 vars=u,v,w,t")
-        assert r.p == 32009
-        assert r.nvars == 4
+        fx = parse_fixture("ring p=32009 vars=u,v,w,t\ngenerator: u")
+        assert fx.ring.p == 32009
+        assert fx.ring.nvars == 4
 
     def test_header_errors(self):
         for bad in (
@@ -284,9 +284,11 @@ class TestHeader:
             "p=32003 vars=x0,x1",
             "ring p=32003",
             "ring p=32003 vars=x0,x0",
+            "ring p=abc vars=x0,x1",
+            "ring p=32003 vars=x0,1y",
         ):
             with pytest.raises(ParseError):
-                parse_ring_header(bad)
+                parse_fixture(bad + "\ngenerator: 1")
 
 
 class TestRandomForms:
