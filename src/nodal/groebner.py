@@ -6,8 +6,8 @@ input, ideals and submodules alike, goes to a degreewise Macaulay-matrix
 elimination: it row-reduces the span of the monomial multiples of the current
 basis one degree at a time, harvesting new lead terms until no S-pair degree
 is outstanding, and yields the reduced basis directly.  Inhomogeneous input
-goes to Buchberger's algorithm and a final interreduction.  Syzygies run the
-same Buchberger core on the rows (g_i | e_i).
+goes to Buchberger's algorithm and a final interreduction.  Syzygies are read
+off the basis of the rows (g_i | e_i), through the same dispatch and cache.
 
 Terms of a module element are keyed (component, monomial) and compared through
 integer keys, see ring.py.  Component twists record generator degrees, so the
@@ -49,8 +49,9 @@ DEFAULT_DEGREE_CAP = 40
 Term = tuple[int, Mono]
 
 # Basis cache entries kept per ring, least recently used evicted first.  Above
-# the most keys any statement or corpus check fills in one ring (74, two per
-# computed basis), so eviction only bounds memory.
+# the most keys one ring fills (114, two per computed basis, counted with an
+# unbounded cache over `nodal corpus fixtures` at 32003 and 32009 and `nodal
+# verify --all --second-prime`), so eviction only bounds memory.
 BASIS_CACHE_SIZE = 128
 
 
@@ -317,75 +318,6 @@ def _new_pairs(leads, lead, coprime_skip):
     return pairs
 
 
-def _buchberger_engine(ring, elems, keyf, cap, rank1, frontier):
-    """Shared Buchberger core.
-
-    elems: list of term dicts (zeros allowed, skipped).  Returns
-    (gels, syzygies): the raw run basis in insertion order, and the nonzero
-    inputs and S-pair remainders led at a component >= frontier, which are
-    set aside as they come instead of joining the basis.  A plain basis run
-    passes the module rank, so nothing is set aside.
-    """
-    check_degree_cap(cap)
-    p = ring.p
-    gels: list[_Gel] = []
-    by_comp: dict[int, list[_Gel]] = {}
-    syzygies: list[dict] = []
-    alive: dict[tuple[int, int], Mono] = {}
-    heap: list[tuple[int, int, int]] = []
-
-    def insert(d):
-        g = _make_gel(ring, d, keyf)
-        if g.lead[0] >= frontier:
-            syzygies.append(d)
-            return
-        t = len(gels)
-        new = _new_pairs([h.lead for h in gels], g.lead, rank1)
-        # Criterion B: prune queued pairs strictly covered by the new lead.
-        lm = g.lead[1]
-        for (i, j), lcm in list(alive.items()):
-            if gels[i].lead[0] != g.lead[0]:
-                continue
-            if not mono_divides(lm, lcm):
-                continue
-            if mono_lcm(gels[i].lead[1], lm) == lcm:
-                continue
-            if mono_lcm(gels[j].lead[1], lm) == lcm:
-                continue
-            del alive[(i, j)]
-        for i, lcm in new:
-            alive[(i, t)] = lcm
-            heapq.heappush(heap, (mono_degree(lcm), i, t))
-        gels.append(g)
-        by_comp.setdefault(g.lead[0], []).append(g)
-
-    for d in elems:
-        if d:
-            insert(dict(d))
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if alive.pop((i, j), None) is None:
-            continue
-        gi, gj = gels[i], gels[j]
-        lcm = mono_lcm(gi.lead[1], gj.lead[1])
-        qi = mono_div(lcm, gi.lead[1])
-        qj = mono_div(lcm, gj.lead[1])
-        # The lcm's degree under a degree-compatible order; under lex a tail
-        # can outgrow its lead, and its shift must stay inside the cap too.
-        deg = max(gi.top + mono_degree(qi), gj.top + mono_degree(qj))
-        if deg > cap:
-            raise DegreeCapExceeded(
-                f"S-pair degree {deg} passed the cap {cap}", cap=cap
-            )
-        s = _shift_dict(gi.full, qi)
-        _sub_into(s, _shift_dict(gj.full, qj), p)
-        rem = _normal_form_dict(s, by_comp, keyf, p, cap)
-        if rem:
-            insert(rem)
-    return gels, syzygies
-
-
 def _interreduce(ring, gels, keyf, cap):
     """Minimal lead set, then tail reduction: the reduced basis."""
     p = ring.p
@@ -490,10 +422,6 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     while pending:
         e = min(pending)
         pending.discard(e)
-        if e > cap:
-            raise DegreeCapExceeded(
-                f"outstanding S-pair degree {e} passed the cap {cap}", cap=cap
-            )
         seeds = [dict(t) for t in by_deg.get(e, ())]
         mults = set()
         for i, j, lcm in pairs.pop(e, ()):
@@ -511,6 +439,11 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
                 continue
             occurring.add(t)
             tc, tm = t
+            # a term of module degree e in component c has degree e - twist
+            if e - twists[tc] > cap:
+                raise DegreeCapExceeded(
+                    f"degree {e} builds monomials past the cap {cap}", cap=cap
+                )
             for bidx, (bc, bm) in enumerate(leads):
                 if bc != tc or not mono_divides(bm, tm):
                     continue
@@ -593,7 +526,10 @@ def macaulay_module_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> Groeb
 
 
 def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Reduced basis by Buchberger's algorithm, for ideals and submodules."""
+    """Reduced basis by Buchberger's algorithm, for ideals and submodules.
+
+    Zero generators are skipped; the run basis is interreduced at the end.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -614,7 +550,59 @@ def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis
         shape = FreeModuleShape.plain(1)
         keyf = RingOrderAdapter(order).key
         dicts = [_poly_to_dict(f) for f in gens]
-    gels, _ = _buchberger_engine(ring, dicts, keyf, cap, not module, shape.rank)
+    check_degree_cap(cap)
+    p = ring.p
+    gels: list[_Gel] = []
+    by_comp: dict[int, list[_Gel]] = {}
+    alive: dict[tuple[int, int], Mono] = {}
+    heap: list[tuple[int, int, int]] = []
+
+    def insert(d):
+        g = _make_gel(ring, d, keyf)
+        t = len(gels)
+        new = _new_pairs([h.lead for h in gels], g.lead, not module)
+        # Criterion B: prune queued pairs strictly covered by the new lead.
+        lm = g.lead[1]
+        for (i, j), lcm in list(alive.items()):
+            if gels[i].lead[0] != g.lead[0]:
+                continue
+            if not mono_divides(lm, lcm):
+                continue
+            if mono_lcm(gels[i].lead[1], lm) == lcm:
+                continue
+            if mono_lcm(gels[j].lead[1], lm) == lcm:
+                continue
+            del alive[(i, j)]
+        for i, lcm in new:
+            alive[(i, t)] = lcm
+            heapq.heappush(heap, (mono_degree(lcm), i, t))
+        gels.append(g)
+        by_comp.setdefault(g.lead[0], []).append(g)
+
+    for d in dicts:
+        if d:
+            insert(d)
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if alive.pop((i, j), None) is None:
+            continue
+        gi, gj = gels[i], gels[j]
+        lcm = mono_lcm(gi.lead[1], gj.lead[1])
+        qi = mono_div(lcm, gi.lead[1])
+        qj = mono_div(lcm, gj.lead[1])
+        # The lcm's degree under a degree-compatible order; under lex a tail
+        # can outgrow its lead, and its shift must stay inside the cap too.
+        deg = max(gi.top + mono_degree(qi), gj.top + mono_degree(qj))
+        if deg > cap:
+            raise DegreeCapExceeded(
+                f"S-pair degree {deg} passed the cap {cap}", cap=cap
+            )
+        s = _shift_dict(gi.full, qi)
+        _sub_into(s, _shift_dict(gj.full, qj), p)
+        rem = _normal_form_dict(s, by_comp, keyf, p, cap)
+        if rem:
+            insert(rem)
     gels = _interreduce(ring, gels, keyf, cap)
     if module:
         elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
@@ -753,19 +741,15 @@ def graded_piece_rows(ring, shape, elements, degree):
     return mat, cols
 
 
-def _element_vector(terms: dict, col: dict, p: int):
-    row = np.zeros(len(col), dtype=np.int64)
-    for t, c in terms.items():
-        row[col[t]] = c % p
-    return row
-
-
 def minimal_module_generators(elements):
     """Minimal generating subset of a list of homogeneous elements.
 
     Degreewise: an element is redundant iff it lies in the span of the
-    monomial multiples of the survivors of lower or equal degree.  Input can
-    be Polynomials (rank 1) or ModuleElements over one shape.
+    monomial multiples of the lower-degree survivors and of the same-degree
+    survivors before it.  So the survivors of one degree are the pivot
+    columns of one `rref`: the transposed candidates, reduced modulo the
+    lower-degree span.  Input can be Polynomials (rank 1) or ModuleElements
+    over one shape.
     """
     elements = [z for z in elements if z]
     if not elements:
@@ -781,20 +765,12 @@ def minimal_module_generators(elements):
     triples.sort(key=lambda t: t[1])
     kept: list[tuple[dict, int, object]] = []
     for deg in sorted({d for _, d, _ in triples}):
-        mat, cols = graded_piece_rows(
-            ring, shape, [(t, d) for t, d, _ in kept], deg
-        )
-        R, piv = linalg.rref(mat, p)
-        col = {t: i for i, t in enumerate(cols)}
-        for terms, d, obj in triples:
-            if d != deg:
-                continue
-            v = _element_vector(terms, col, p).reshape(1, -1)
-            v = linalg.reduce_rows(R, piv, v, p)
-            if not v.any():
-                continue
-            kept.append((terms, d, obj))
-            R, piv = linalg.rref(np.vstack([R, v]) if R.shape[0] else v, p)
+        cands = [t for t in triples if t[1] == deg]
+        # each candidate adds one row, after the lower-degree multiples
+        mat, _ = graded_piece_rows(ring, shape, [t[:2] for t in kept + cands], deg)
+        R, piv = linalg.rref(mat[: -len(cands)], p)
+        V = linalg.reduce_rows(R, piv, mat[-len(cands) :], p)
+        kept.extend(cands[i] for i in linalg.rref(V.T, p)[1])
     return [obj for _, _, obj in kept]
 
 
@@ -805,14 +781,14 @@ def minimal_module_generators(elements):
 def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
     """Generators of the syzygy module of the given generator list.
 
-    Schreyer's theorem (Eisenbud, Commutative Algebra, Thm 15.10) on rows:
-    one Buchberger run on the rows (g_i | e_i), g_i in components 0..k-1 and
-    the unit e_i in component k + i, under position over term so the g part
-    leads.  A remainder with no g part left is a syzygy and stays out of the
-    basis, so nothing past component k has a reducer.  The product criterion
-    is off, so coprime-lead pairs yield their Koszul syzygies too.
-    Homogeneous output is pruned to a minimal set and sorted; inhomogeneous
-    output is returned as collected.
+    Schreyer's theorem read as elimination (Eisenbud, Commutative Algebra,
+    Thm 15.10): the rows (g_i | e_i), g_i in components 0..k-1 and the unit
+    e_i in component k + i twisted by deg g_i, span {(sum a_i g_i | a)}, whose
+    elements with no g part are the syzygies.  Position over term eliminates
+    the components below k, so the reduced basis elements with no term there
+    generate them.  `groebner_basis` computes that basis, with its engine
+    choice and cache; the cap bounds monomial degree.  Homogeneous output is
+    pruned to a minimal set and sorted; inhomogeneous output keeps basis order.
     """
     gens = list(gens)
     if not gens:
@@ -822,18 +798,23 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
         gens = [ModuleElement.from_polynomials(plain, [f]) for f in gens]
     _check_module_gens(gens)
     ring = gens[0].ring
-    k = gens[0].shape.rank
+    shape = gens[0].shape
+    k, m = shape.rank, len(gens)
     twists = tuple(
         (z.module_degree() or 0) if z.is_homogeneous() else 0 for z in gens
     )
+    rows_shape = FreeModuleShape(k + m, shape.twists + twists)
     one = tuple([0] * ring.nvars)
-    rows = [{**z.terms, (k + i, one): 1} for i, z in enumerate(gens)]
-    keyf = PositionOverTerm(ring.grevlex, k + len(gens)).key
-    _, syz = _buchberger_engine(ring, rows, keyf, cap, False, k)
-    tshape = FreeModuleShape(len(gens), twists)
+    rows = [
+        ModuleElement(ring, rows_shape, {**z.terms, (k + i, one): 1})
+        for i, z in enumerate(gens)
+    ]
+    gb = groebner_basis(rows, PositionOverTerm(ring.grevlex, k + m), cap)
+    tshape = FreeModuleShape(m, twists)
     out = [
-        ModuleElement(ring, tshape, {(c - k, m): v for (c, m), v in d.items()})
-        for d in syz
+        ModuleElement(ring, tshape, {(c - k, t): v for (c, t), v in z.terms.items()})
+        for z in gb.elements
+        if all(c >= k for c, _ in z.terms)
     ]
     if out and all(z.is_homogeneous() for z in out):
         out = minimal_module_generators(out)

@@ -430,6 +430,9 @@ def _generic_conic_pair(ring: Ring, rng) -> CurveSpec:
             spec = CurveSpec.from_forms(
                 [ring.random_form(2, rng) for _ in range(2)]
             )
+            # a smooth conic is irreducible; a singular one is a line pair
+            if any(codimension(jacobian_ideal(c.form)) != 3 for c in spec.components):
+                continue
             conductor_nodal(spec.total_form, seed=rng.randrange(1 << 30))
             return spec
         except (ValueError, NonNodalCurveError):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nodal import cli
 from nodal.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -205,6 +206,24 @@ class TestCorpus:
         first = capsys.readouterr().out
         assert main(["corpus", str(tmp_path), "--json"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_fixture_caches_emptied(self, tmp_path, monkeypatch):
+        # a cached basis points back at its ring; the corpus drops each
+        # fixture's cache when done so the ring is freed without a full
+        # cyclic collection
+        shutil.copy(FIXTURES / "two-lines.fix", tmp_path)
+        shutil.copy(FIXTURES / "triangle-points.fix", tmp_path)
+        rings = []
+
+        def capture(path, prime, _load=cli._load_fixture):
+            fx = _load(path, prime)
+            rings.append(fx.ring)
+            return fx
+
+        monkeypatch.setattr(cli, "_load_fixture", capture)
+        assert main(["corpus", str(tmp_path)]) == 0
+        assert len(rings) == 2
+        assert all(not r.basis_cache for r in rings)
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2

@@ -237,8 +237,10 @@ class TestSyzygyCompleteness:
 
     def test_module_input(self, ring):
         rng = random.Random(1414)
-        for _ in range(3):
-            gens = random_homogeneous_module(ring, rng)
+        cases = [random_homogeneous_module(ring, rng) for _ in range(3)]
+        # a second resolution level: twists are the triple's degrees
+        cases.append(syzygy_generators(random_homogeneous_ideal(ring, rng)))
+        for gens in cases:
             assert_syzygies_complete(gens, syzygy_generators(gens))
 
     def test_zero_and_duplicate_generators(self, ring):
@@ -261,6 +263,30 @@ class TestSyzygyCompleteness:
             assert z.component(0) * gens[0] + z.component(1) * gens[1] == 0
         koszul = ModuleElement.from_polynomials(syz[0].shape, [gens[1], -gens[0]])
         assert not normal_form(koszul, groebner_basis(syz))
+
+
+def assert_syzygies_match_buchberger(gens, cap):
+    """syzygy_generators agrees with the same elimination run by Buchberger."""
+    if not isinstance(gens[0], ModuleElement):
+        gens = [ModuleElement.from_polynomials(FreeModuleShape.plain(1), [f]) for f in gens]
+    ring, shape = gens[0].ring, gens[0].shape
+    k, m = shape.rank, len(gens)
+    twists = shape.twists + tuple(z.module_degree() for z in gens)
+    one = (0,) * ring.nvars
+    rows = [
+        ModuleElement(ring, FreeModuleShape(k + m, twists), {**z.terms, (k + i, one): 1})
+        for i, z in enumerate(gens)
+    ]
+    gb = buchberger(rows, PositionOverTerm(ring.grevlex, k + m), cap)
+    expected = [
+        {(c - k, t): v for (c, t), v in z.terms.items()}
+        for z in gb
+        if all(c >= k for c, _ in z.terms)
+    ]
+    got = [z.terms for z in syzygy_generators(gens, cap)]
+    assert sorted(sorted(d.items()) for d in got) == sorted(
+        sorted(d.items()) for d in expected
+    )
 
 
 class TestDegreeCap:
@@ -304,6 +330,28 @@ class TestDegreeCap:
         gens = [ring.parse("x0 - x1^200"), ring.parse("x0*x1^100 - 1")]
         with pytest.raises(DegreeCapExceeded):
             buchberger(gens, order=Lex(3), cap=255)
+
+    def test_cap_bounds_monomial_degree_in_twisted_modules(self, ring):
+        # module degrees reach 32 here, but no monomial passes degree 2
+        shape = FreeModuleShape(1, (30,))
+        x0, x1, _ = ring.gens()
+        gens = [ModuleElement.from_polynomials(shape, [f]) for f in (x0, x1)]
+        gb = groebner_basis(gens, cap=5)
+        assert list(gb.elements) == list(buchberger(gens, cap=5).elements)
+        syz = ModuleElement.from_polynomials(FreeModuleShape(2, (31, 31)), [x1, -x0])
+        assert syzygy_generators(gens, cap=5) == [syz]
+        assert_syzygies_match_buchberger(gens, 5)
+
+    @pytest.mark.parametrize("power, cap", [(2, 5), (14, 40)])
+    def test_cap_bounds_monomial_degree_of_syzygy_pairs(self, ring, power, cap):
+        # the S-pair of two Koszul syzygies sits in module degree
+        # 2*power + power, past the cap, but builds monomials of degree
+        # 2*power only
+        gens = [ring.gens()[i] ** power for i in range(3)]
+        syz = syzygy_generators(gens, cap=cap)
+        assert len(syz) == 3
+        assert all(z.module_degree() == 2 * power for z in syz)
+        assert_syzygies_match_buchberger(gens, cap)
 
     def test_cap_not_hit_when_criteria_settle_pairs(self, ring):
         # coprime leads: both engines finish without touching degree 6
@@ -473,6 +521,16 @@ def test_dispatch_by_homogeneity(ring, engine_runs):
         groebner_basis(gens)
         assert engine_runs[-1] == engine
     assert len(engine_runs) == len(cases)
+
+
+def test_syzygies_dispatch_and_cache(ring, engine_runs):
+    # the rows (g_i | e_i) take groebner_basis's dispatch and the ring's cache
+    gens = [ring.parse("x0^2"), ring.parse("x0*x1"), ring.parse("x1^2 - x2^2")]
+    first = syzygy_generators(gens)
+    assert syzygy_generators(gens) == first
+    assert engine_runs == ["macaulay_module_gb"]
+    syzygy_generators([ring.parse("x0^2 + x1"), ring.parse("x1*x2")])
+    assert engine_runs[-1] == "buchberger"
 
 
 CACHE_GENS = ("x0^2 + 2*x1*x2", "x0*x1 + 3*x2^2", "x1^3 - x0*x2^2")

@@ -5,13 +5,17 @@ from nodal import (
     CurveComponent,
     CurveSpec,
     Ideal,
+    RetryBudgetExceeded,
     Ring,
+    codimension,
     conductor_from_components,
     conductor_nodal,
     intersect,
+    jacobian_ideal,
     rational_curve_implicitize,
     saturate,
 )
+from nodal import validators
 from nodal.validators import (
     STATEMENTS,
     adjoint_completeness_check,
@@ -256,6 +260,31 @@ class TestStatementRunners:
         assert v.computed["symbolic_square_indeg"] == 10
         assert v.computed["regularity"] == 7
         assert v.computed["h0_jump_degree"] == 2
+
+    def test_generated_conics_are_smooth(self, monkeypatch):
+        # at p = 3 a random conic is often a line pair, which made the "conic
+        # pair" a curve of three or four components and the verdict FAIL;
+        # a generated conic must be smooth, or the run is refused
+        draw = validators._generic_conic_pair
+        drawn = []
+
+        def recording(ring, rng):
+            spec = draw(ring, rng)
+            drawn.append(spec)
+            return spec
+
+        monkeypatch.setattr(validators, "_generic_conic_pair", recording)
+        for seed in range(8):
+            try:
+                v = run_statement("regularity-syzygy", seed=seed, prime=3)
+            except RetryBudgetExceeded:
+                continue
+            assert v.ok, (seed, v.computed, v.expected)
+        assert drawn
+        for spec in drawn:
+            assert len(spec.components) == 2
+            for c in spec.components:
+                assert codimension(jacobian_ideal(c.form)) == 3
 
     def test_unknown_statement(self):
         with pytest.raises(KeyError):
