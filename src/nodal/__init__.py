@@ -19,7 +19,6 @@ from .errors import (
     RingMismatchError,
 )
 from .ring import (
-    BlockElimination,
     Grevlex,
     Lex,
     Polynomial,

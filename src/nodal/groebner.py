@@ -23,13 +23,11 @@ import numpy as np
 from . import linalg
 from .errors import (
     DegreeCapExceeded,
-    ExponentLimitError,
     InvariantViolation,
     RingMismatchError,
 )
 from .ring import (
     MAX_EXPONENT,
-    BlockElimination,
     Mono,
     MonomialOrder,
     Polynomial,
@@ -96,19 +94,12 @@ class PositionOverTerm(ModuleOrder):
     """Earlier components dominate; ties broken by the base ring order.
 
     The component sits 8*(n+2) bits up, clear of a grevlex or lex key of a
-    monomial within the exponent limit.  A block-elimination key is wider, so
-    it would overlap the component and the order would stop being position
-    over term: such a base is refused.
+    monomial within the exponent limit.
     """
 
     __slots__ = ("base", "rank", "name", "_shift")
 
     def __init__(self, base: MonomialOrder, rank: int):
-        if isinstance(base, BlockElimination):
-            raise ExponentLimitError(
-                f"a {base.name} key is wider than the position-over-term"
-                " component shift"
-            )
         self.base = base
         self.rank = rank
         self.name = f"pot:{rank}:{base.name}"
@@ -705,14 +696,12 @@ def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
 
 def module_monomials(ring: Ring, shape: FreeModuleShape, degree: int):
     """Module monomials of the given degree: component asc, monomial desc."""
-    order = ring.grevlex
     out: list[Term] = []
     for comp in range(shape.rank):
         d = degree - shape.twists[comp]
         if d < 0:
             continue
-        monos = sorted(ring.monomials_of_degree(d), key=order.key, reverse=True)
-        out.extend((comp, m) for m in monos)
+        out.extend((comp, m) for m in ring.monomials_of_degree(d))
     return out
 
 

@@ -1,5 +1,5 @@
 """Ideal operations: sums, products, intersections, colons, saturation,
-elimination, codimension, and the reducedness certificate for point schemes.
+codimension, and the reducedness certificate for point schemes.
 
 Saturation by the irrelevant ideal is the workhorse of the conductor
 pipelines, so it avoids colon iterations entirely: in a graded reverse
@@ -31,7 +31,7 @@ from .groebner import (
     minimal_module_generators,
     normal_form,
 )
-from .ring import BlockElimination, Grevlex, Polynomial, Ring, mono_mul
+from .ring import Grevlex, Polynomial, Ring, mono_mul
 
 
 class Ideal:
@@ -143,44 +143,10 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Intersection and colon via one auxiliary variable
+# Intersection and colon
 
 
-def _aux_ring(ring: Ring) -> Ring:
-    name = "t_"
-    while name in ring.names:
-        name += "_"
-    return Ring(ring.names + (name,), p=ring.p)
-
-
-def _embed(f: Polynomial, big: Ring) -> Polynomial:
-    return Polynomial(big, {m + (0,): c for m, c in f.terms.items()})
-
-
-def _project(f: Polynomial, small: Ring) -> Polynomial:
-    terms = {}
-    for m, c in f.terms.items():
-        if m[-1] != 0:
-            raise InvariantViolation("projection hit the auxiliary variable")
-        terms[m[:-1]] = c
-    return Polynomial(small, terms)
-
-
-def _intersect_elimination(a: Ideal, b: Ideal, cap: int) -> Ideal:
-    """a ∩ b through t*a + (1-t)*b and elimination of t."""
-    ring = a.ring
-    big = _aux_ring(ring)
-    t = big.gen(big.nvars - 1)
-    one_minus_t = big.one() - t
-    gens = [t * _embed(f, big) for f in a.gens]
-    gens += [one_minus_t * _embed(g, big) for g in b.gens]
-    order = BlockElimination(big.nvars, elim=(big.nvars - 1,))
-    gb = groebner_basis(gens, order, cap)
-    kept = [g for g in gb.elements if g.lead_monomial(order)[-1] == 0]
-    return Ideal(ring, [_project(g, ring) for g in kept])
-
-
-def _intersect_module(a: Ideal, b: Ideal, cap: int) -> Ideal:
+def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     """a ∩ b by elimination inside a rank-2 free module.
 
     The submodule generated by (f, f) for f in a and (g, 0) for g in b meets
@@ -188,9 +154,15 @@ def _intersect_module(a: Ideal, b: Ideal, cap: int) -> Ideal:
     combination forces h into a through the second coordinate and into b
     through the first.  Under position-over-term with the first component
     most expensive, basis elements led in the second component carry no
-    first-component part at all, so the axis slice falls straight out.
+    first-component part at all, so the axis slice falls straight out.  This
+    holds for any global order, so inhomogeneous pairs take the same route
+    (groebner_basis hands them to Buchberger).
     """
+    if a.ring != b.ring:
+        raise InvariantViolation("intersection across different rings")
     ring = a.ring
+    if a.is_zero() or b.is_zero():
+        return Ideal(ring, ())
     shape = FreeModuleShape(2, (0, 0))
     zero = ring.zero()
     gens = [ModuleElement.from_polynomials(shape, [f, f]) for f in a.gens]
@@ -199,17 +171,6 @@ def _intersect_module(a: Ideal, b: Ideal, cap: int) -> Ideal:
     gb = groebner_basis(gens, order, cap)
     kept = [z.component(1) for z in gb.elements if not z.component(0)]
     return Ideal(ring, kept)
-
-
-def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """a ∩ b; homogeneous pairs stay in the ring, others pay for one t."""
-    if a.ring != b.ring:
-        raise InvariantViolation("intersection across different rings")
-    if a.is_zero() or b.is_zero():
-        return Ideal(a.ring, ())
-    if a.is_homogeneous() and b.is_homogeneous():
-        return _intersect_module(a, b, cap)
-    return _intersect_elimination(a, b, cap)
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -333,40 +294,7 @@ def saturate(a: Ideal, b: Ideal | None = None, cap: int = DEFAULT_DEGREE_CAP) ->
 
 
 # ---------------------------------------------------------------------------
-# Elimination and codimension
-
-
-def eliminate(a: Ideal, drop, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """Intersect with the subring omitting the variables in `drop`.
-
-    Returns an ideal of the smaller ring on the kept variables.
-    """
-    ring = a.ring
-    drop = tuple(
-        ring.var_index(v) if isinstance(v, str) else int(v) for v in drop
-    )
-    if not drop:
-        return Ideal(ring, a.gens)
-    keep = tuple(i for i in range(ring.nvars) if i not in drop)
-    if not keep:
-        raise ValueError("cannot eliminate every variable")
-    small = Ring(tuple(ring.names[i] for i in keep), p=ring.p)
-    if a.is_zero():
-        return Ideal(small, ())
-    order = BlockElimination(ring.nvars, elim=drop)
-    gb = groebner_basis(a.gens, order, cap)
-    kept = []
-    for g in gb.elements:
-        lm = g.lead_monomial(order)
-        if any(lm[i] for i in drop):
-            continue
-        terms = {}
-        for m, c in g.terms.items():
-            if any(m[i] for i in drop):
-                raise InvariantViolation("elimination kept a mixed element")
-            terms[tuple(m[i] for i in keep)] = c
-        kept.append(Polynomial(small, terms))
-    return Ideal(small, kept)
+# Codimension
 
 
 def codimension(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> int:

@@ -190,12 +190,6 @@ def _extend_by_syzygies(current, twists: list, maps: list, cap: int) -> None:
     raise InvariantViolation("resolution did not terminate")
 
 
-def _homogeneous_min_gens(ideal: Ideal):
-    if not ideal.is_homogeneous():
-        raise ValueError("resolutions need homogeneous input")
-    return minimal_module_generators(list(ideal.gb().elements))
-
-
 def resolve_quotient(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
     """Minimal free resolution of S/I."""
     ring = ideal.ring
@@ -203,7 +197,7 @@ def resolve_quotient(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolut
         return _freeze(ring, [(0,)], [], lambda e: free_graded_dim(ring.nvars, (0,), e))
     if ideal.is_unit():
         return _freeze(ring, [()], [], lambda e: 0)
-    gens = _homogeneous_min_gens(ideal)
+    gens = ideal.minimal_gens()
     twists: list = [(0,), tuple(g.homogeneous_degree() for g in gens)]
     maps: list = [[list(gens)]]
     _extend_by_syzygies(gens, twists, maps, cap)
@@ -216,7 +210,7 @@ def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution
     ring = ideal.ring
     if ideal.is_zero():
         return _freeze(ring, [()], [], lambda e: 0)
-    gens = _homogeneous_min_gens(ideal)
+    gens = ideal.minimal_gens()
     twists = [tuple(g.homogeneous_degree() for g in gens)]
     maps: list = []
     _extend_by_syzygies(gens, twists, maps, cap)

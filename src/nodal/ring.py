@@ -164,34 +164,6 @@ class Lex(MonomialOrder):
         return k
 
 
-class BlockElimination(MonomialOrder):
-    """Two grevlex blocks; any monomial touching the first block dominates.
-
-    Used to eliminate the variables in `elim`: basis elements whose lead
-    monomial avoids the first block have all terms in the remaining variables.
-    """
-
-    __slots__ = ("n", "elim", "keep", "name", "_cache", "_shift")
-
-    def __init__(self, n: int, elim: tuple[int, ...]):
-        self.n = n
-        self.elim = tuple(elim)
-        self.keep = tuple(i for i in range(n) if i not in self.elim)
-        if not self.elim or not self.keep:
-            raise ValueError("both blocks must be nonempty")
-        self.name = "elim:" + ",".join(map(str, self.elim))
-        # low block key fits in (#keep + 2) bytes; shift the high block clear of it
-        self._shift = (len(self.keep) + 2) * _B
-        self._cache: dict[Mono, int] = {}
-
-    def key(self, m: Mono) -> int:
-        k = self._cache.get(m)
-        if k is None:
-            k = (_grevlex_key(m, self.elim) << self._shift) | _grevlex_key(m, self.keep)
-            self._cache[m] = k
-        return k
-
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
@@ -479,12 +451,6 @@ class Polynomial:
 
     def lead_coefficient(self, order: MonomialOrder | None = None) -> int:
         return self.terms[self.lead_monomial(order)]
-
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = pow(self.lead_coefficient(order), -1, self.ring.p)
-        return self * inv
 
     def partial_derivative(self, var: int | str) -> "Polynomial":
         i = var if isinstance(var, int) else self.ring.var_index(var)

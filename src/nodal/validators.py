@@ -449,9 +449,7 @@ def _cubic_plus_line(ring: Ring) -> CurveSpec:
     )
 
 
-def _spec_from_fixture(fixture, fallback):
-    if fixture is None:
-        return fallback()
+def _spec_from_fixture(fixture):
     if fixture.curve is None:
         raise ValueError("this statement needs a curve fixture")
     return fixture.curve
@@ -466,7 +464,7 @@ def run_line_arrangement(seed, prime, cap, fixture, lines: int = 3):
         rng = random.Random(f"lines:{seed}")
         spec = _generic_lines(ring, lines, rng)
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
     ell = len(spec)
     d = spec.degree
     rep = conductor_from_components(spec, cap, seed)
@@ -501,7 +499,7 @@ def run_rational_nodal(seed, prime, cap, fixture, curve_degree: int = 4):
         ring, notes = _runner_ring(prime, d)
         spec = rational_curve_implicitize(d, seed, ring, cap)
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
         d = spec.degree
     rep = conductor_nodal(spec.components[0].form, cap, seed)
     res = resolve_ideal(rep.conductor, cap)
@@ -598,7 +596,7 @@ def run_two_route(seed, prime, cap, fixture):
         ring, notes = _runner_ring(prime, 4)
         spec = _cubic_plus_line(ring)
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
     ra = conductor_from_components(spec, cap, seed)
     rb = conductor_nodal(spec.total_form, cap, seed)
     if len(spec) == 1:
@@ -632,7 +630,7 @@ def run_regularity_syzygy(seed, prime, cap, fixture):
         rng = random.Random(f"regsyz:{seed}")
         spec = _generic_conic_pair(ring, rng)
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
     rep = conductor_from_components(spec, cap, seed)
     verdict = verify_regularity_theorem(rep, spec, cap=cap)
     verdict.seed = seed
@@ -642,7 +640,7 @@ def run_regularity_syzygy(seed, prime, cap, fixture):
 
 def run_jacobian_syzygy(seed, prime, cap, fixture):
     if fixture is not None:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
         reducible = (len(spec) >= 2) if spec.components_certified else None
         verdict = jacobian_syzygy_analysis(spec.total_form, reducible, cap)
         verdict.seed = seed
@@ -711,7 +709,7 @@ def run_adjoint_conditions(seed, prime, cap, fixture, curve_degree: int = 4):
         ring, notes = _runner_ring(prime, curve_degree)
         spec = rational_curve_implicitize(curve_degree, seed, ring, cap)
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
     rep = conductor_nodal(spec.total_form, cap, seed)
     verdict = adjoint_completeness_check(rep, cap=cap)
     verdict.seed = seed
@@ -725,7 +723,7 @@ def run_component_sequence(seed, prime, cap, fixture, component: int = 0):
         ring, notes = _runner_ring(prime, 4)
         spec = _cubic_plus_line(ring)
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
     verdict = conductor_sequence_check(spec, component, cap, seed)
     verdict.seed = seed
     verdict.notes = tuple(notes) + verdict.notes
@@ -740,7 +738,7 @@ def run_partial_normalization(seed, prime, cap, fixture):
             [ring.parse("x0"), ring.parse("x1"), ring.parse("x2")]
         )
     else:
-        spec = _spec_from_fixture(fixture, None)
+        spec = _spec_from_fixture(fixture)
     verdict = partial_normalization_report(spec, cap=cap, seed=seed)
     verdict.seed = seed
     verdict.notes = tuple(notes) + verdict.notes

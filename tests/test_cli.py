@@ -1,4 +1,5 @@
 """End-to-end command line tests driving main() directly."""
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -231,3 +232,34 @@ class TestCorpus:
 
     def test_not_a_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path / "nowhere")]) == 2
+
+
+class TestReferenceOutputs:
+    """The --json reports of the full corpus and of every statement.
+
+    Every number the program prints feeds these bytes, so a change that
+    moves any of them fails here.  The digests change only on purpose.
+    """
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["corpus", str(FIXTURES), "--json"],
+                "ca179cd32e5cb74380cc9fffe0a92da1fa1b6ae9955276aa94f84fce9c1b01da",
+            ),
+            (
+                ["corpus", str(FIXTURES), "--json", "--prime", "32009"],
+                "fc7e3b21cce7cac565f6134b9cd4242bb74723b5492fd0bd1cb675fbe93ace25",
+            ),
+            (
+                ["verify", "--all", "--second-prime", "--json"],
+                "15aac69ef4cd9d5ab02f208d030083e44f5ce7f6a2d7194474a55a00c4b12c07",
+            ),
+        ],
+        ids=["corpus-32003", "corpus-32009", "verify-all"],
+    )
+    def test_json_digest(self, args, digest, capsys):
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from nodal import (
-    BlockElimination,
     DegreeCapExceeded,
     ExponentLimitError,
     FreeModuleShape,
@@ -486,11 +485,6 @@ class TestOrderAdapters:
         keyf = RingOrderAdapter(ring.grevlex).key
         assert keyf((0, (1, 0, 0))) == ring.grevlex.key((1, 0, 0))
 
-    def test_block_elimination_base_refused(self):
-        # its key is wider than the component shift: x0^2 in component 1
-        # would outrank 1 in component 0
-        with pytest.raises(ExponentLimitError):
-            PositionOverTerm(BlockElimination(3, (0,)), 2)
 
 
 @pytest.fixture
@@ -556,7 +550,6 @@ class TestBasisCache:
             ring.grevlex,
             Grevlex(3, (1, 2, 0)),
             Lex(3),
-            BlockElimination(3, elim=(0,)),
         )
         rank1 = FreeModuleShape.plain(1)
         module_gens = [ModuleElement.from_polynomials(rank1, [f]) for f in gens]

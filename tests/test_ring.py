@@ -4,7 +4,6 @@ import random
 import pytest
 
 from nodal import (
-    BlockElimination,
     CharacteristicError,
     ExponentLimitError,
     Grevlex,
@@ -187,13 +186,6 @@ class TestOrders:
         o = Lex(3)
         assert o.key((1, 0, 5)) > o.key((0, 6, 0))
         assert o.key((0, 1, 0)) > o.key((0, 0, 9))
-
-    def test_block_elimination(self):
-        o = BlockElimination(3, elim=(0,))
-        # anything containing x0 beats anything without it
-        assert o.key((1, 0, 0)) > o.key((0, 9, 9))
-        # within the kept block, grevlex
-        assert o.key((0, 1, 0)) > o.key((0, 0, 1))
 
     def test_order_is_multiplicative(self, ring):
         rng = random.Random(707)
