@@ -626,7 +626,7 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     (submodules), anything else to `buchberger`.
 
     Each ring caches the bases computed over it, keyed by the order's name,
-    the cap, the module shape (None for polynomials) and the generator set,
+    the cap, the module shape (rank one for polynomials) and the generator set,
     so every ideal or submodule named by the same generators, in any list
     order and by any object, shares one computation.  A computed basis is
     also stored under its own elements: an ideal built from a reduced basis
@@ -638,7 +638,7 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     if not live:
         return buchberger(gens, order, cap)
     ring = live[0].ring
-    shape = live[0].shape if module else None
+    shape = live[0].shape if module else FreeModuleShape.plain(1)
     if not module:
         order = _resolve_order(ring, order)
     elif order is None:
@@ -655,12 +655,23 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
         gb = macaulay_module_gb(live, order, cap)
     else:
         gb = macaulay_gb(live, order, cap)
-    for k in (key, (order.name, cap, shape, _generator_set(gb.elements))):
+    _store_basis(gb, cap, live)
+    return gb
+
+
+def _store_basis(gb: GroebnerBasis, cap: int, gens) -> None:
+    """Cache gb under the generator set `gens` and under its own elements.
+
+    gens must generate the same ideal or submodule as gb.  The cache drops
+    its least recently used entries beyond BASIS_CACHE_SIZE.
+    """
+    cache = gb.ring.basis_cache
+    for elements in (gens, gb.elements):
+        k = (gb.order.name, cap, gb.shape, _generator_set(elements))
         cache[k] = gb
         cache.move_to_end(k)
     while len(cache) > BASIS_CACHE_SIZE:
         cache.popitem(last=False)
-    return gb
 
 
 def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):

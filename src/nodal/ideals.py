@@ -27,11 +27,12 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     PositionOverTerm,
+    _store_basis,
     groebner_basis,
     minimal_module_generators,
     normal_form,
 )
-from .ring import Grevlex, Polynomial, Ring, mono_mul
+from .ring import Grevlex, Polynomial, Ring, grevlex_monomials
 
 
 class Ideal:
@@ -100,24 +101,23 @@ class Ideal:
         """dim of the degree slice of ring/ideal: count standard monomials."""
         if degree < 0:
             return 0
+        exps = _degree_exponents(self.ring.nvars, degree)
         if not self.gens:
-            return len(self.ring.monomials_of_degree(degree))
-        leads = self.gb().lead_monomials()
-        count = 0
-        for m in self.ring.monomials_of_degree(degree):
-            if not any(all(a <= b for a, b in zip(g, m)) for g in leads):
-                count += 1
-        return count
+            return len(exps)
+        return int(np.count_nonzero(_lead_map(self.gb().lead_monomials(), exps) < 0))
 
     def graded_basis(self, degree: int, cap: int = DEFAULT_DEGREE_CAP):
-        """Vector-space basis of the degree slice, in echelon form."""
+        """Vector-space basis of the degree slice, in reduced echelon form."""
         if degree < 0 or not self.gens:
             return []
-        gb = self.gb(cap=cap)
-        rows, monos = _ideal_degree_basis_rows(gb, degree)
-        R, _ = linalg.rref(rows, self.ring.p)
+        ring = self.ring
+        cols, vals = _degree_slice(self.gb(cap=cap), degree)
+        monos = ring.monomials_of_degree(degree)
+        dense = np.zeros((len(cols), len(monos) + 1), dtype=np.int64)
+        dense[np.arange(len(cols))[:, None], cols] = vals
+        R, _ = linalg.rref(dense[:, :-1], ring.p)
         return [
-            Polynomial(self.ring, {monos[i]: int(v) for i, v in enumerate(row) if v})
+            Polynomial(ring, {monos[i]: int(v) for i, v in enumerate(row) if v})
             for row in R
         ]
 
@@ -237,17 +237,16 @@ def _rotated_grevlex(n: int, var: int) -> Grevlex:
     return Grevlex(n, perm)
 
 
-def _divide_out(a: Ideal, var: int, cap: int) -> tuple[Ideal, bool]:
-    """Full colon a : x_var^∞ of a homogeneous ideal in one basis pass."""
-    order = _rotated_grevlex(a.ring.nvars, var)
-    gb = a.gb(order, cap)
+def _divide_out(gb: GroebnerBasis, var: int) -> tuple[list[Polynomial], bool]:
+    """Generators of the full colon by x_var^∞, from the reduced basis of a
+    homogeneous ideal under an order whose cheapest variable is x_var."""
     stripped = []
     changed = False
     for g in gb.elements:
         h, v = _strip_var(g, var)
         changed = changed or v > 0
         stripped.append(h)
-    return Ideal(a.ring, stripped), changed
+    return stripped, changed
 
 
 def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
@@ -258,19 +257,27 @@ def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     divide-out of a reduced basis ordered with x_i cheapest.  Iterating
     single-variable colons instead would saturate by the product of the
     variables, a different and generally much larger ideal.  If some variable
-    strips nothing then a is stable under that colon and already saturated.
+    strips nothing then a is stable under that colon and already saturated;
+    it is returned as its grevlex basis, under which the rotated bases
+    computed so far are cached too, so saturating it again computes none.
     """
     ring = a.ring
     if a.is_zero():
         return a
     if not a.is_homogeneous():
         raise ValueError("divide-out saturation needs homogeneous input")
+    rotated = []
     parts = []
     for var in range(ring.nvars):
-        part, changed = _divide_out(a, var, cap)
+        gb = a.gb(_rotated_grevlex(ring.nvars, var), cap)
+        rotated.append(gb)
+        stripped, changed = _divide_out(gb, var)
         if not changed:
-            return Ideal(ring, a.gb(cap=cap).elements)
-        parts.append(part)
+            basis = a.gb(cap=cap).elements
+            for gb in rotated:
+                _store_basis(gb, cap, basis)
+            return Ideal(ring, basis)
+        parts.append(Ideal(ring, stripped))
     meet = parts[0]
     for part in parts[1:]:
         meet = intersect(meet, part, cap)
@@ -384,35 +391,98 @@ class ReducednessReport:
         }
 
 
-def _ideal_degree_basis_rows(gb: GroebnerBasis, degree: int):
-    """A vector-space basis of the degree slice of the ideal.
+@lru_cache(maxsize=None)
+def _degree_exponents(n: int, degree: int) -> np.ndarray:
+    """Read-only exponent matrix of the degree-`degree` monomials in n
+    variables, one row each in `Ring.monomials_of_degree` order."""
+    exps = np.array(grevlex_monomials(degree, n), dtype=np.int64).reshape(-1, n)
+    exps.flags.writeable = False
+    return exps
 
-    One row per degree-`degree` monomial inside the lead ideal: the multiple
-    of the first basis element whose lead divides it.  Distinct leads make
-    the rows independent, and the count matches the slice dimension.
+
+def _lead_map(leads, exps) -> np.ndarray:
+    """Index of the first lead dividing each exponent row, or -1 for none.
+
+    leads lists the basis leads in basis order; exps is an exponent matrix
+    such as `_degree_exponents` returns.  One broadcast compares every row
+    against every lead.
+    """
+    lead_exps = np.array(leads, dtype=np.int64).reshape(len(leads), exps.shape[1])
+    divides = (exps[:, None, :] >= lead_exps[None, :, :]).all(axis=2)
+    return np.where(divides.any(axis=1), divides.argmax(axis=1), -1)
+
+
+def _degree_slice(gb: GroebnerBasis, degree: int):
+    """Echelon rows spanning the degree slice of the ideal of a grevlex basis.
+
+    One row per degree-`degree` monomial m inside the lead ideal, in
+    `Ring.monomials_of_degree` order: q*g for the first basis element g
+    whose lead divides m, with q = m / lead(g).  Distinct leads make the rows
+    independent, and the count matches the slice dimension.  Row r is held
+    as cols[r], the column indices of its terms in increasing order, and
+    vals[r], their coefficients; rows with fewer terms than the widest are
+    padded with the sink column len(monomials) and value 0.
+
+    Multiplying by q keeps the grevlex order of the terms, so for a monic
+    grevlex basis the first column of each row is its lead m: the first
+    columns strictly increase and carry the coefficient 1, and the rows are
+    already in echelon form.  Any other basis order can break this, so it is
+    checked and an InvariantViolation raised if it fails.
     """
     ring = gb.ring
-    monos = ring.monomials_of_degree(degree)
-    col = {m: i for i, m in enumerate(monos)}
+    n = ring.nvars
+    exps = _degree_exponents(n, degree)
     leads = gb.lead_monomials()
-    rows = []
-    for m in monos:
-        hit = None
-        for g, lm in zip(gb.elements, leads):
-            q = tuple(a - b for a, b in zip(m, lm))
-            if all(e >= 0 for e in q):
-                hit = (g, q)
-                break
-        if hit is None:
-            continue
-        g, q = hit
-        row = np.zeros(len(monos), dtype=np.int64)
-        for mm, c in g.terms.items():
-            row[col[mono_mul(mm, q)]] = c
-        rows.append(row)
-    if rows:
-        return np.vstack(rows), monos
-    return np.zeros((0, len(monos)), dtype=np.int64), monos
+    first = _lead_map(leads, exps)
+    hits = np.nonzero(first >= 0)[0]
+    owner = first[hits]
+    used = sorted(set(owner.tolist()))
+    terms = {j: gb.elements[j].sorted_terms(ring.grevlex) for j in used}
+    width = max((len(t) for t in terms.values()), default=1)
+    cols = np.full((len(hits), width), len(exps), dtype=np.int64)
+    vals = np.zeros((len(hits), width), dtype=np.int64)
+    # column of a degree-`degree` monomial, looked up by its first n-1
+    # exponents read as digits in base degree+1: (degree+1)^2 entries in the
+    # plane
+    radix = (degree + 1) ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    table = np.zeros((degree + 1) ** (n - 1), dtype=np.int64)
+    table[exps[:, :-1] @ radix] = np.arange(len(exps))
+    for j in used:
+        term_exps = np.array([m for m, _ in terms[j]], dtype=np.int64)
+        if np.any(term_exps.sum(axis=1) != sum(leads[j])):
+            raise ValueError("graded slices need a homogeneous basis")
+        rows = np.nonzero(owner == j)[0]
+        q = exps[hits[rows], :-1] - np.array(leads[j][:-1], dtype=np.int64)
+        shifted = q[:, None, :] + term_exps[None, :, :-1]
+        cols[rows, : len(term_exps)] = table[shifted @ radix]
+        vals[rows, : len(term_exps)] = [c for _, c in terms[j]]
+    if len(hits) and not (
+        np.all(np.diff(cols[:, 0]) > 0) and np.all(vals[:, 0] == 1)
+    ):
+        raise InvariantViolation(
+            "degree slice rows are not in echelon form; the basis order is not grevlex"
+        )
+    return cols, vals
+
+
+def _reduce_mod_slice(cols, vals, W, p: int):
+    """Reduce the rows of W modulo the span of the echelon rows (cols, vals).
+
+    Returns the unique rows of W + span that vanish in every pivot column
+    cols[:, 0], which is what `linalg.reduce_rows` gives against the `rref`
+    of the same rows.  Forward substitution on the transpose: the pivots are
+    taken in increasing column order, and each clears its column by a rank-1
+    update of the later columns, so a pivot column is final when reached.
+    W holds residues and so does every update: with b, c, v in [0, p),
+    b - v*c lies in (-(p-1)^2, p), inside int64 for every p below
+    linalg.PRIME_LIMIT, and each step reduces mod p again.
+    """
+    WT = np.zeros((W.shape[1] + 1, W.shape[0]), dtype=np.int64)  # + sink row
+    WT[:-1] = W.T
+    for c, rest, coeffs in zip(cols[:, 0].tolist(), cols[:, 1:], vals[:, 1:]):
+        WT[rest] = (WT[rest] - coeffs[:, None] * WT[c]) % p
+        WT[c] = 0
+    return WT[:-1].T
 
 
 def _uni_trim(c: list[int]) -> list[int]:
@@ -508,7 +578,13 @@ def points_are_reduced(
 
     The rows spanning W come from `_projection_rows`, a numpy recurrence on
     the coefficient matrix of (l1, l2) that is exact in int64: every term
-    stays below 3p before its final reduction.
+    stays below 3p before its final reduction.  They are reduced modulo the
+    slice by `_reduce_mod_slice`, a forward substitution against the slice
+    rows as `_degree_slice` builds them, already in echelon form with unit
+    leads; no echelon form of the slice is computed.  Each of its updates
+    forms b - v*c from residues b, v, c, a value in (-(p-1)^2, p) that int64
+    holds exactly for every p below linalg.PRIME_LIMIT = 2^31, and reduces it
+    mod p at once.
     """
     ring = a.ring
     if ring.nvars != 3:
@@ -519,9 +595,8 @@ def points_are_reduced(
     if delta == 0:
         return ReducednessReport(True, 0, 0, 0)
     rng = random.Random(seed)
-    gb = a.gb(cap=cap)
-    rows, monos = _ideal_degree_basis_rows(gb, delta)
-    R, piv = linalg.rref(rows, ring.p)
+    cols, vals = _degree_slice(a.gb(cap=cap), delta)
+    monos = ring.monomials_of_degree(delta)
     used = 0
     for _ in range(attempts):
         used += 1
@@ -534,7 +609,7 @@ def points_are_reduced(
         if linalg.rank(lin, ring.p) < 2:
             continue
         wrows = _projection_rows(lin, delta, ring.p, monos)
-        reduced_w = linalg.reduce_rows(R, piv, wrows, ring.p)
+        reduced_w = _reduce_mod_slice(cols, vals, wrows, ring.p)
         lam = linalg.nullspace(reduced_w.T, ring.p)
         if lam.shape[0] == 0:
             raise InvariantViolation("no cycle form found in the slice")

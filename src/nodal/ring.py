@@ -288,9 +288,7 @@ class Ring:
 
     def monomials_of_degree(self, d: int) -> list[Mono]:
         """All degree-d monomials, largest first in grevlex."""
-        monos = list(_compositions(d, self.nvars))
-        monos.sort(key=self._grevlex.key, reverse=True)
-        return monos
+        return list(grevlex_monomials(d, self.nvars))
 
     def random_form(self, degree: int, rng) -> "Polynomial":
         """Dense homogeneous form with uniform coefficients; never zero."""
@@ -320,6 +318,12 @@ def _compositions_cached(d: int, n: int) -> tuple[Mono, ...]:
 
 def _compositions(d: int, n: int):
     return _compositions_cached(d, n)
+
+
+@lru_cache(maxsize=None)
+def grevlex_monomials(d: int, n: int) -> tuple[Mono, ...]:
+    """All degree-d monomials in n variables, largest first in grevlex."""
+    return tuple(sorted(_compositions_cached(d, n), key=Grevlex(n).key, reverse=True))
 
 
 class Polynomial:

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from nodal import InvariantViolation, Ring
+from nodal import InvariantViolation, Ring, determinantal_points, groebner, linalg
 from nodal.ideals import (
     Ideal,
+    _degree_slice,
     _projection_rows,
+    _reduce_mod_slice,
     codimension,
     curve_is_squarefree,
     exact_divide,
@@ -23,6 +25,7 @@ from nodal.ideals import (
     symbolic_square,
 )
 from nodal.linalg import PRIME_LIMIT
+from nodal.ring import Lex, mono_mul
 
 import oracles
 
@@ -97,13 +100,15 @@ class TestBasicOps:
         assert not z.contains(ring.parse("x0"))
         assert z.contains(ring.zero())
 
-    def test_graded_dims_match_span_oracle(self, ring):
-        rng = random.Random(42)
-        for _ in range(5):
-            gens = [ring.random_form(rng.randrange(1, 4), rng) for _ in range(3)]
-            ideal = Ideal(ring, gens)
-            for e in range(6):
-                assert ideal.quotient_dim(e) == oracles.quotient_dim(gens, e)
+    def test_graded_dims_match_span_oracle(self):
+        for p in (32003, PRIME_LIMIT - 1):
+            ring = Ring("x0,x1,x2", p)
+            rng = random.Random(42)
+            for _ in range(5):
+                gens = [ring.random_form(rng.randrange(1, 4), rng) for _ in range(3)]
+                ideal = Ideal(ring, gens)
+                for e in range(6):
+                    assert ideal.quotient_dim(e) == oracles.quotient_dim(gens, e)
 
     def test_graded_dims_vanish_in_negative_degrees(self, ring):
         for r in (ring, Ring("x")):
@@ -307,6 +312,24 @@ class TestSaturation:
         a = Ideal.parse(ring, ["x0^3", "x1^2", "x2^4"])
         assert saturate(a).is_unit()
 
+    def test_resaturating_computes_no_basis(self, ring, monkeypatch):
+        # generic points: x0 strips nothing, so the saturation returns the
+        # grevlex basis, and the rotated basis it read is cached under it; a
+        # redundant generator keeps that basis apart from the input generators
+        meet = _random_points_ideal(ring, random.Random(59), 4)
+        sat = saturate(Ideal(ring, meet.gens + (meet.gens[0] * ring.gen(0),)))
+        runs = []
+        engine = groebner.macaulay_gb
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "macaulay_gb", counted)
+        again = saturate(sat)
+        assert runs == []
+        assert again.same_ideal(meet)
+
 
 class TestCodimension:
     def test_known_values(self, ring):
@@ -428,6 +451,111 @@ class TestProjectionRows:
                 want = _projection_rows_reference(l1, l2, delta, monos)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (str(l1), str(l2), delta)
+
+
+def _slice_rows_reference(gb, degree):
+    """Dense degree slice by a Python scan over monomials and leads, the
+    builder that points_are_reduced and graded_basis used before the numpy
+    lead map."""
+    ring = gb.ring
+    monos = ring.monomials_of_degree(degree)
+    col = {m: i for i, m in enumerate(monos)}
+    leads = gb.lead_monomials()
+    rows = []
+    for m in monos:
+        hit = None
+        for g, lm in zip(gb.elements, leads):
+            q = tuple(a - b for a, b in zip(m, lm))
+            if all(e >= 0 for e in q):
+                hit = (g, q)
+                break
+        if hit is None:
+            continue
+        g, q = hit
+        row = np.zeros(len(monos), dtype=np.int64)
+        for mm, c in g.terms.items():
+            row[col[mono_mul(mm, q)]] = c
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(monos))
+
+
+def _reduced_projection_reference(gb, degree, W):
+    """Rows of W reduced modulo the degree slice through a dense rref, the
+    route points_are_reduced took before forward substitution."""
+    p = gb.ring.p
+    R, pivots = linalg.rref(_slice_rows_reference(gb, degree), p)
+    return linalg.reduce_rows(R, pivots, W, p), pivots
+
+
+def _random_points_ideal(ring, rng, count):
+    meet = None
+    for _ in range(count):
+        cur = point_ideal(ring, oracles.random_projective_point(ring, rng))
+        meet = cur if meet is None else intersect(meet, cur)
+    return meet
+
+
+class TestDegreeSlice:
+    """The echelon slice and its forward substitution against the rref route."""
+
+    def schemes(self, ring):
+        yield Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"])
+        yield _random_points_ideal(ring, random.Random(47), 5)
+        yield symbolic_square(Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"]))
+        yield determinantal_points(2, ring=ring)
+
+    @pytest.mark.parametrize("p", [32003, PRIME_LIMIT - 1])
+    def test_matches_rref_route(self, p):
+        ring = Ring("x0,x1,x2", p)
+        rng = random.Random(61)
+        for ideal in self.schemes(ring):
+            gb = ideal.gb()
+            delta = scheme_length(ideal)
+            cols, vals = _degree_slice(gb, delta)
+            monos = ring.monomials_of_degree(delta)
+            dense = np.zeros((len(cols), len(monos) + 1), dtype=np.int64)
+            dense[np.arange(len(cols))[:, None], cols] = vals
+            assert np.array_equal(dense[:, :-1], _slice_rows_reference(gb, delta))
+            # one random projection block, and l1 = x0 + x2, l2 = (p-1)*x1
+            lins = [
+                np.array(
+                    [[rng.randrange(p) for _ in range(3)] for _ in range(2)],
+                    dtype=np.int64,
+                ),
+                np.array([[1, 0, 1], [0, p - 1, 0]], dtype=np.int64),
+            ]
+            for lin in lins:
+                W = _projection_rows(lin, delta, p, monos)
+                want, pivots = _reduced_projection_reference(gb, delta, W)
+                got = _reduce_mod_slice(cols, vals, W, p)
+                assert cols[:, 0].tolist() == pivots
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (str(ideal), delta)
+
+    def test_graded_basis_is_rref_of_reference_slice(self, ring):
+        ideal = _random_points_ideal(ring, random.Random(67), 5)
+        for degree in range(6):
+            monos = ring.monomials_of_degree(degree)
+            R, _ = linalg.rref(_slice_rows_reference(ideal.gb(), degree), ring.p)
+            want = [
+                ring.poly({monos[i]: int(v) for i, v in enumerate(row) if v})
+                for row in R
+            ]
+            assert ideal.graded_basis(degree) == want
+
+    def test_refuses_a_basis_in_another_order(self, ring):
+        # a lex basis has leads that are not the grevlex-first terms, so the
+        # rows are not in echelon form over grevlex columns
+        ideal = _random_points_ideal(ring, random.Random(71), 5)
+        gb = ideal.gb(Lex(3))
+        with pytest.raises(InvariantViolation):
+            _degree_slice(gb, 5)
+        _degree_slice(ideal.gb(), 5)
+
+    def test_refuses_an_inhomogeneous_basis(self, ring):
+        ideal = Ideal.parse(ring, ["x0*x1 - 1", "x2"])
+        with pytest.raises(ValueError):
+            ideal.graded_basis(2)
 
 
 class TestReducedness:
