@@ -84,14 +84,13 @@ class CurveSpec:
 
     __slots__ = (
         "components",
-        "origin",
         "components_certified",
         "ring",
         "total_form",
         "degree",
     )
 
-    def __init__(self, components, origin="explicit", components_certified=True):
+    def __init__(self, components, *, components_certified=True):
         components = tuple(components)
         if not components:
             raise ValueError("a curve needs at least one component")
@@ -118,16 +117,15 @@ class CurveSpec:
                 if codimension(pair) != 2:
                     raise ValueError("components share a common factor")
         self.components = components
-        self.origin = origin
         self.components_certified = bool(components_certified)
         self.ring = ring
         self.total_form = total
         self.degree = total.homogeneous_degree()
 
     @classmethod
-    def from_forms(cls, forms, origin="explicit", components_certified=True):
+    def from_forms(cls, forms, *, components_certified=True):
         comps = [CurveComponent.from_form(f) for f in forms]
-        return cls(comps, origin, components_certified)
+        return cls(comps, components_certified=components_certified)
 
     def __len__(self):
         return len(self.components)
@@ -376,7 +374,7 @@ def rational_curve_implicitize(
         if rep.delta != expected_delta or rep.degree_d_syzygies != 0:
             continue
         comp = CurveComponent(F, d, rep.conductor)
-        return CurveSpec([comp], origin="implicitized")
+        return CurveSpec([comp])
     raise RetryBudgetExceeded(
         f"no certified nodal rational curve of degree {d} in {budget} attempts"
     )
@@ -476,7 +474,7 @@ def nodal_curve_through(
         if not rep.conductor.same_ideal(points):
             continue
         comp = CurveComponent(F, D, rep.conductor)
-        return CurveSpec([comp], origin="explicit", components_certified=False)
+        return CurveSpec([comp], components_certified=False)
     return None
 
 
@@ -575,7 +573,7 @@ def parse_fixture(text: str, prime: int | None = None) -> Fixture:
         return Fixture(ring, None, Ideal(ring, generators))
     if implicit is not None:
         comp = CurveComponent.from_form(implicit)
-        spec = CurveSpec([comp], origin="explicit", components_certified=False)
+        spec = CurveSpec([comp], components_certified=False)
         return Fixture(ring, spec, None)
-    spec = CurveSpec(components, origin="explicit")
+    spec = CurveSpec(components)
     return Fixture(ring, spec, None)

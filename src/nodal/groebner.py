@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -353,6 +354,11 @@ class GroebnerBasis:
         return self.order.key
 
     def lead_monomials(self) -> tuple:
+        return self._leads
+
+    @cached_property
+    def _leads(self) -> tuple:
+        """Lead of each element, found once per basis object."""
         if self.rank1:
             return tuple(f.lead_monomial(self.order) for f in self.elements)
         keyf = self.order.key

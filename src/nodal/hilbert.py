@@ -114,7 +114,6 @@ def _package(values, poly) -> HilbertData:
 
 def hilbert_function(
     ideal: Ideal,
-    through_degree: int | None = None,
     resolution: FreeResolution | None = None,
     cap: int = DEFAULT_DEGREE_CAP,
 ) -> HilbertData:
@@ -122,8 +121,6 @@ def hilbert_function(
     if resolution is None:
         resolution = resolve_quotient(ideal, cap)
     top = resolution.max_twist() + 3
-    if through_degree is not None:
-        top = max(top, through_degree + 1)
     values = [ideal.quotient_dim(e) for e in range(top)]
     for e in range(top):
         if values[e] != resolution.hilbert_alternating(e):

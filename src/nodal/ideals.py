@@ -173,37 +173,28 @@ def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     return Ideal(ring, kept)
 
 
-def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient g/f when f divides g exactly."""
-    ring = g.ring
-    if not f:
-        raise ZeroDivisionError("division by the zero polynomial")
-    order = ring.grevlex
-    lf = f.lead_monomial(order)
-    cf_inv = pow(f.lead_coefficient(order), -1, ring.p)
-    q = ring.zero()
-    rest = g
-    while rest:
-        lm = rest.lead_monomial(order)
-        m = tuple(a - b for a, b in zip(lm, lf))
-        if any(e < 0 for e in m):
-            raise InvariantViolation("exact division left a remainder")
-        c = rest.lead_coefficient(order) * cf_inv % ring.p
-        piece = ring.monomial(m, c)
-        q = q + piece
-        rest = rest - piece * f
-    return q
-
-
 def quotient_by_poly(a: Ideal, f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """Colon a : (f) as (a ∩ (f)) / f."""
+    """Colon a : (f) by the rank-2 construction `intersect` uses.
+
+    The submodule generated by (f, 1) and (g, 0) for g in a meets the second
+    coordinate axis exactly in a : f: an element (h f + sum c_g g, h) has
+    zero first coordinate exactly when h f lies in a.  The second component
+    is twisted by deg f when f is homogeneous, so homogeneous input stays
+    homogeneous; otherwise groebner_basis hands the rows to Buchberger.
+    """
     ring = a.ring
     if not f:
         return Ideal(ring, [ring.one()])
     if a.is_zero():
         return Ideal(ring, ())
-    meet = intersect(a, Ideal(ring, [f]), cap)
-    return Ideal(ring, [exact_divide(g, f) for g in meet.gens])
+    twist = f.homogeneous_degree() if f.is_homogeneous() else 0
+    shape = FreeModuleShape(2, (0, twist))
+    zero, one = ring.zero(), ring.one()
+    gens = [ModuleElement.from_polynomials(shape, [f, one])]
+    gens += [ModuleElement.from_polynomials(shape, [g, zero]) for g in a.gens]
+    gb = groebner_basis(gens, PositionOverTerm(ring.grevlex, 2), cap)
+    kept = [z.component(1) for z in gb.elements if not z.component(0)]
+    return Ideal(ring, kept)
 
 
 def quotient(a: Ideal, b, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:

@@ -1,14 +1,17 @@
 """Minimal graded free resolutions by iterated syzygies.
 
-Each level takes syzygies of a minimal generating set.  A syzygy of
-minimal generators cannot carry a unit coordinate (that would make one
-generator redundant), so the chain is minimal level by level.  A
-constant-cancellation sweep runs anyway as a safety net, and every
-constructed resolution is verified on the spot: consecutive maps compose
-to zero, entry degrees match the twist bookkeeping, no nonzero scalar
-entries survive, and the alternating sum of free-module dimensions
-reproduces an independently counted Hilbert function on a window past the
-largest twist.
+Every resolution starts from a minimal presentation: generator twists and
+a minimal set of relations, none with a unit entry.  Each further level is
+the syzygy module of the one before, on a minimal generating set.  A syzygy
+of minimal generators cannot carry a unit coordinate (that would make one
+generator redundant), so the chain is minimal by construction, level by
+level (D. Eisenbud, The Geometry of Syzygies, ch. 1).  Nothing rewrites a
+chain after it is built.  Every constructed resolution is verified on the
+spot instead: consecutive maps compose to zero, entry degrees match the
+twist bookkeeping, no nonzero scalar entry occurs, and the alternating sum
+of free-module dimensions reproduces an independently counted Hilbert
+function on a window past the largest twist.  A chain that fails any check
+is refused with InvariantViolation.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .errors import InvariantViolation
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     FreeModuleShape,
+    ModuleElement,
     minimal_module_generators,
     syzygy_generators,
 )
@@ -107,66 +111,6 @@ def _verify_resolution(res: FreeResolution, hf) -> None:
             raise InvariantViolation("alternating Hilbert sum disagrees with ideal count")
 
 
-def _cancel_constants(ring: Ring, twists: list, maps: list) -> tuple[list, list]:
-    """Split off trivial S(-t) = S(-t) summands wherever a map entry is a
-    nonzero scalar.  Row and column operations keep both neighbour maps in
-    step, so the result is the same complex minus a split-exact piece."""
-    mats = [[list(row) for row in m] for m in maps]
-    tw = [list(level) for level in twists]
-    p = ring.p
-
-    def find_constant():
-        for i, m in enumerate(mats):
-            for r, row in enumerate(m):
-                for c, f in enumerate(row):
-                    if f and f.degree() == 0:
-                        return i, r, c
-        return None
-
-    while True:
-        spot = find_constant()
-        if spot is None:
-            break
-        i, r, c = spot
-        m = mats[i]
-        u = m[r][c].terms[ring.zero_mono]
-        uinv = pow(u, -1, p)
-        for c2 in range(len(m[r])):
-            if c2 == c or not m[r][c2]:
-                continue
-            lam = m[r][c2] * uinv
-            for r2 in range(len(m)):
-                m[r2][c2] = m[r2][c2] - lam * m[r2][c]
-            if i + 1 < len(mats):
-                nxt = mats[i + 1]
-                for c3 in range(len(nxt[c])):
-                    nxt[c][c3] = nxt[c][c3] + lam * nxt[c2][c3]
-        for r2 in range(len(m)):
-            if r2 == r or not m[r2][c]:
-                continue
-            mu = m[r2][c] * uinv
-            for c2 in range(len(m[r2])):
-                m[r2][c2] = m[r2][c2] - mu * m[r][c2]
-            if i > 0:
-                prv = mats[i - 1]
-                for r3 in range(len(prv)):
-                    prv[r3][r] = prv[r3][r] + mu * prv[r3][r2]
-        for row in m:
-            del row[c]
-        del m[r]
-        del tw[i + 1][c]
-        del tw[i][r]
-        if i + 1 < len(mats):
-            del mats[i + 1][c]
-        if i > 0:
-            for row in mats[i - 1]:
-                del row[r]
-    while len(tw) > 1 and not tw[-1]:
-        tw.pop()
-        mats.pop()
-    return tw, mats
-
-
 def _freeze(ring: Ring, twists: list, maps: list, hf) -> FreeResolution:
     res = FreeResolution(
         ring,
@@ -177,45 +121,46 @@ def _freeze(ring: Ring, twists: list, maps: list, hf) -> FreeResolution:
     return res
 
 
-def _extend_by_syzygies(current, twists: list, maps: list, cap: int) -> None:
-    ring = current[0].ring
+def _resolve(ring: Ring, gen_twists, relations, hf, cap: int) -> FreeResolution:
+    """Resolution of the free module on gen_twists modulo the relations.
+
+    The relations must be a minimal generating set with no unit entry.  Each
+    further level is `syzygy_generators` of the one before, appended until
+    it vanishes.  By Hilbert's syzygy theorem that takes at most nvars
+    steps, so a chain still growing after nvars + 1 is refused.
+    """
+    twists: list = [tuple(gen_twists)]
+    maps: list = []
+    level = list(relations)
     for _ in range(ring.nvars + 1):
-        syz = syzygy_generators(current, cap=cap)
-        if not syz:
-            return
-        rank = len(current)
-        twists.append(tuple(z.module_degree() for z in syz))
-        maps.append([[z.component(r) for z in syz] for r in range(rank)])
-        current = syz
-    raise InvariantViolation("resolution did not terminate")
+        if not level:
+            break
+        rank = len(twists[-1])
+        twists.append(tuple(z.module_degree() for z in level))
+        maps.append([[z.component(r) for z in level] for r in range(rank)])
+        level = syzygy_generators(level, cap=cap)
+    if level:
+        raise InvariantViolation("resolution did not terminate")
+    return _freeze(ring, twists, maps, hf)
 
 
 def resolve_quotient(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
-    """Minimal free resolution of S/I."""
+    """Minimal free resolution of S/I: S modulo the minimal generators."""
     ring = ideal.ring
-    if ideal.is_zero():
-        return _freeze(ring, [(0,)], [], lambda e: free_graded_dim(ring.nvars, (0,), e))
     if ideal.is_unit():
-        return _freeze(ring, [()], [], lambda e: 0)
-    gens = ideal.minimal_gens()
-    twists: list = [(0,), tuple(g.homogeneous_degree() for g in gens)]
-    maps: list = [[list(gens)]]
-    _extend_by_syzygies(gens, twists, maps, cap)
-    tw, ms = _cancel_constants(ring, twists, maps)
-    return _freeze(ring, tw, ms, ideal.quotient_dim)
+        return _resolve(ring, (), [], lambda e: 0, cap)
+    plain = FreeModuleShape.plain(1)
+    rels = [ModuleElement.from_polynomials(plain, [g]) for g in ideal.minimal_gens()]
+    return _resolve(ring, (0,), rels, ideal.quotient_dim, cap)
 
 
 def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
-    """Minimal free resolution of the ideal as a graded module."""
-    ring = ideal.ring
-    if ideal.is_zero():
-        return _freeze(ring, [()], [], lambda e: 0)
+    """Minimal free resolution of the ideal as a graded module: its minimal
+    generators modulo their syzygies."""
     gens = ideal.minimal_gens()
-    twists = [tuple(g.homogeneous_degree() for g in gens)]
-    maps: list = []
-    _extend_by_syzygies(gens, twists, maps, cap)
-    tw, ms = _cancel_constants(ring, twists, maps)
-    return _freeze(ring, tw, ms, ideal.graded_dim)
+    twists = tuple(g.homogeneous_degree() for g in gens)
+    rels = syzygy_generators(gens, cap=cap)
+    return _resolve(ideal.ring, twists, rels, ideal.graded_dim, cap)
 
 
 def resolve_presented(
@@ -224,10 +169,11 @@ def resolve_presented(
     """Minimal free resolution of a module presented by explicit relations.
 
     The module is the free module twisted by gen_twists modulo the span of
-    the relation elements.  The presentation need not be minimal: constant
-    relation entries are cancelled away, so quotients like a product of
-    hypersurface rings modulo a diagonally embedded subring come out with
-    the spare generator already eliminated.  hf must supply the Hilbert
+    the relation elements.  The relations are pruned to a minimal generating
+    set, but the presentation must be minimal in the graded sense: a relation
+    with a unit entry (a nonzero scalar in some component) would make a
+    generator redundant, and it is refused with ValueError.  Eliminate such a
+    generator before presenting the module.  hf must supply the Hilbert
     function of the presented module; it is checked against the result.
     """
     gen_twists = tuple(gen_twists)
@@ -238,14 +184,7 @@ def resolve_presented(
             raise InvariantViolation("relation does not match the presentation")
         if not z.is_homogeneous():
             raise ValueError("resolutions need homogeneous input")
-    rel = minimal_module_generators(relations)
-    twists: list = [gen_twists]
-    maps: list = []
-    if rel:
-        twists.append(tuple(z.module_degree() for z in rel))
-        maps.append(
-            [[z.component(r) for z in rel] for r in range(len(gen_twists))]
-        )
-        _extend_by_syzygies(rel, twists, maps, cap)
-    tw, ms = _cancel_constants(ring, twists, maps)
-    return _freeze(ring, tw, ms, hf)
+        if any(m == ring.zero_mono for _, m in z.terms):
+            raise ValueError("relation has a unit entry: presentation not minimal")
+    rels = minimal_module_generators(relations)
+    return _resolve(ring, gen_twists, rels, hf, cap)

@@ -293,9 +293,9 @@ class Ring:
     def random_form(self, degree: int, rng) -> "Polynomial":
         """Dense homogeneous form with uniform coefficients; never zero."""
         p = self.p
+        monos = _compositions_cached(degree, self.nvars)
         while True:
-            terms = {m: rng.randrange(p) for m in _compositions(degree, self.nvars)}
-            f = self.poly(terms)
+            f = self.poly({m: rng.randrange(p) for m in monos})
             if f:
                 return f
 
@@ -314,10 +314,6 @@ def _compositions_cached(d: int, n: int) -> tuple[Mono, ...]:
         for rest in _compositions_cached(d - first, n - 1):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def _compositions(d: int, n: int):
-    return _compositions_cached(d, n)
 
 
 @lru_cache(maxsize=None)

@@ -289,8 +289,7 @@ def conductor_sequence_check(
         cond_i = conductor_nodal(comp.form, cap, seed).conductor
     rest = CurveSpec(
         [c for j, c in enumerate(spec.components) if j != component],
-        spec.origin,
-        spec.components_certified,
+        components_certified=spec.components_certified,
     )
     cond_rest = conductor_from_components(rest, cap, seed).conductor
     whole = conductor_from_components(spec, cap, seed)
@@ -362,15 +361,21 @@ def partial_normalization_report(
         return sum(p.quotient_dim(e) for p in parts) - total.quotient_dim(e)
 
     indeg_ba = next(e for e in range(d + 2) if hf_ba(e) > 0)
-    shape = FreeModuleShape(ell, (0,) * ell)
+    # B/A is B's generators e_0, ..., e_{ell-1} modulo F_i e_i and the
+    # diagonal e_0 + ... + e_{ell-1}.  That unit relation eliminates
+    # e_0 = -(e_1 + ... + e_{ell-1}), which leaves the minimal presentation
+    # on e_1, ..., e_{ell-1}: relations F_i e_i and F_0 (e_1 + ... + e_{ell-1}).
+    twists = (0,) * (ell - 1)
+    shape = FreeModuleShape(ell - 1, twists)
     zero = ring.zero()
     rels = []
-    for i, c in enumerate(spec.components):
-        cols = [zero] * ell
+    for i, c in enumerate(spec.components[1:]):
+        cols = [zero] * (ell - 1)
         cols[i] = c.form
         rels.append(ModuleElement.from_polynomials(shape, cols))
-    rels.append(ModuleElement.from_polynomials(shape, [ring.one()] * ell))
-    res = resolve_presented(ring, (0,) * ell, rels, hf_ba, cap)
+    f0 = spec.components[0].form
+    rels.append(ModuleElement.from_polynomials(shape, [f0] * (ell - 1)))
+    res = resolve_presented(ring, twists, rels, hf_ba, cap)
     reg_ba = res.regularity()
 
     rep = conductor_report

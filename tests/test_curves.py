@@ -250,7 +250,6 @@ class TestMeetingLocus:
 class TestImplicitize:
     def test_degree_four(self):
         spec = rational_curve_implicitize(4, seed=1)
-        assert spec.origin == "implicitized"
         comp = spec.components[0]
         assert comp.degree == 4
         rep = conductor_nodal(comp.form)

@@ -12,7 +12,6 @@ from nodal.ideals import (
     _reduce_mod_slice,
     codimension,
     curve_is_squarefree,
-    exact_divide,
     ideal_product,
     ideal_sum,
     intersect,
@@ -25,7 +24,7 @@ from nodal.ideals import (
     symbolic_square,
 )
 from nodal.linalg import PRIME_LIMIT
-from nodal.ring import Lex, mono_mul
+from nodal.ring import Lex, Polynomial, mono_mul
 
 import oracles
 
@@ -109,6 +108,22 @@ class TestBasicOps:
                 ideal = Ideal(ring, gens)
                 for e in range(6):
                     assert ideal.quotient_dim(e) == oracles.quotient_dim(gens, e)
+
+    def test_quotient_dim_reads_leads_once(self, ring, monkeypatch):
+        ideal = Ideal(ring, [ring.random_form(d, random.Random(d)) for d in (2, 3, 3)])
+        gb = ideal.gb()
+        calls = []
+        original = Polynomial.lead_monomial
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "lead_monomial", counted)
+        for _ in range(3):
+            for e in range(8):
+                ideal.quotient_dim(e)
+        assert len(calls) == len(gb)
 
     def test_graded_dims_vanish_in_negative_degrees(self, ring):
         for r in (ring, Ring("x")):
@@ -249,14 +264,12 @@ class TestQuotient:
         b = Ideal.parse(ring, ["x1", "x2"])
         assert quotient(a, b).same_ideal(Ideal.parse(ring, ["x0"]))
 
-    def test_exact_divide(self, ring):
-        rng = random.Random(23)
-        for _ in range(10):
-            f = ring.random_form(rng.randrange(1, 4), rng)
-            g = ring.random_form(rng.randrange(1, 4), rng)
-            assert exact_divide(f * g, g) == f
-        with pytest.raises(InvariantViolation):
-            exact_divide(ring.parse("x0^2 + x1^2"), ring.parse("x2"))
+    def test_colon_by_inhomogeneous_poly(self, ring):
+        # (f*g) : f = (g) with f inhomogeneous, through Buchberger
+        f = ring.parse("x0^2 + x1 + 1")
+        g = ring.parse("x1*x2 - x0")
+        back = quotient_by_poly(Ideal(ring, [f * g, f * ring.parse("x2")]), f)
+        assert back.same_ideal(Ideal(ring, [g, ring.parse("x2")]))
 
 
 class TestSaturation:

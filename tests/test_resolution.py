@@ -1,9 +1,12 @@
 """Resolutions, Betti tables, Hilbert data."""
 import random
+from pathlib import Path
 
 import pytest
 
-from nodal import Ring
+from nodal import CurveSpec, InvariantViolation, Ring, validators
+from nodal.curves import parse_fixture
+from nodal.groebner import FreeModuleShape, ModuleElement
 from nodal.ideals import (
     Ideal,
     ideal_product,
@@ -13,11 +16,10 @@ from nodal.ideals import (
     scheme_length,
 )
 from nodal.resolution import (
-    _cancel_constants,
-    _extend_by_syzygies,
-    _freeze,
+    _resolve,
     free_graded_dim,
     resolve_ideal,
+    resolve_presented,
     resolve_quotient,
 )
 from nodal.hilbert import (
@@ -29,6 +31,8 @@ from nodal.hilbert import (
 from nodal.report import BettiTable, betti_table
 
 import oracles
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -148,32 +152,66 @@ class TestRandomPoints:
 class TestQuotientModules:
     """Free modules modulo explicit relations, through resolve_presented."""
 
-    def test_presented_product_modulo_diagonal(self, ring):
-        # (S/x0 x S/x1) / S: generators e1, e2, relations x0*e1, x1*e2,
-        # and e1 + e2; the module collapses to S/(x0, x1)
-        from nodal.groebner import FreeModuleShape, ModuleElement
-        from nodal.resolution import resolve_presented
-
-        shape = FreeModuleShape(2, (0, 0))
+    @staticmethod
+    def product_modulo_diagonal(ring):
+        # (S/x0 x S/x1) / S, which is S/(x0, x1)
         x0, x1 = ring.gen(0), ring.gen(1)
-        zero, one = ring.zero(), ring.one()
-        rels = [
-            ModuleElement.from_polynomials(shape, [x0, zero]),
-            ModuleElement.from_polynomials(shape, [zero, x1]),
-            ModuleElement.from_polynomials(shape, [one, one]),
-        ]
         total = Ideal(ring, [x0 * x1])
         parts = [Ideal(ring, [x0]), Ideal(ring, [x1])]
 
         def hf(e):
             return sum(q.quotient_dim(e) for q in parts) - total.quotient_dim(e)
 
-        res = resolve_presented(ring, (0, 0), rels, hf)
+        return x0, x1, hf
+
+    def test_product_modulo_diagonal_refused(self, ring):
+        # generators e1, e2, relations x0*e1, x1*e2 and the unit relation
+        # e1 + e2: not a minimal presentation
+        x0, x1, hf = self.product_modulo_diagonal(ring)
+        shape = FreeModuleShape(2, (0, 0))
+        zero, one = ring.zero(), ring.one()
+        rels = [
+            ModuleElement.from_polynomials(shape, [x0, zero]),
+            ModuleElement.from_polynomials(shape, [zero, x1]),
+            ModuleElement.from_polynomials(shape, [one, one]),
+        ]
+        with pytest.raises(ValueError, match="unit entry"):
+            resolve_presented(ring, (0, 0), rels, hf)
+
+    def test_product_modulo_diagonal_minimal(self, ring):
+        # e1 = -e2 leaves one generator with relations x0 and x1
+        x0, x1, hf = self.product_modulo_diagonal(ring)
+        shape = FreeModuleShape(1, (0,))
+        rels = [ModuleElement.from_polynomials(shape, [f]) for f in (x0, x1)]
+        res = resolve_presented(ring, (0,), rels, hf)
         assert res.twists == ((0,), (1, 1), (2,))
 
-    def test_presented_free_module(self, ring):
-        from nodal.resolution import resolve_presented
+    @pytest.mark.parametrize(
+        "forms, twists",
+        [
+            (("x0", "x1"), ((0,), (1, 1), (2,))),
+            (("x0", "x1", "x2"), ((0, 0), (1, 1, 1), (3,))),
+            ("two-conics.fix", ((0,), (2, 2), (4,))),
+        ],
+    )
+    def test_partial_normalization_twists(self, ring, monkeypatch, forms, twists):
+        # B/A as partial_normalization_report presents it
+        if isinstance(forms, str):
+            spec = parse_fixture((FIXTURES / forms).read_text()).curve
+        else:
+            spec = CurveSpec.from_forms([ring.parse(f) for f in forms])
+        seen = []
 
+        def spy(*args, **kwargs):
+            res = resolve_presented(*args, **kwargs)
+            seen.append(res.twists)
+            return res
+
+        monkeypatch.setattr(validators, "resolve_presented", spy)
+        assert validators.partial_normalization_report(spec).ok
+        assert seen == [twists]
+
+    def test_presented_free_module(self, ring):
         def hf(e):
             return free_graded_dim(ring.nvars, (0, 2), e)
 
@@ -183,21 +221,15 @@ class TestQuotientModules:
 
 
 class TestMinimization:
-    def test_trivial_pair_cancels(self, ring):
-        # S <-[1]- S presents the zero module, so everything cancels
-        tw, maps = _cancel_constants(ring, [(0,), (0,)], [[[ring.one()]]])
-        assert tw == [[]]
-        assert maps == []
-
-    def test_redundant_generator_cancels_to_minimal(self, ring):
+    def test_redundant_generator_refused(self, ring):
+        # the syzygy e0 + e1 - e3 of a redundant generator has unit entries;
+        # the verification refuses the chain rather than repairing it
         tri = Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"])
         gens = list(tri.gens) + [tri.gens[0] + tri.gens[1]]
-        twists = [(0,), tuple(g.homogeneous_degree() for g in gens)]
-        maps = [[list(gens)]]
-        _extend_by_syzygies(gens, twists, maps, 40)
-        tw, ms = _cancel_constants(ring, twists, maps)
-        res = _freeze(ring, tw, ms, tri.quotient_dim)
-        assert res.twists == ((0,), (2, 2, 2), (3, 3))
+        plain = FreeModuleShape.plain(1)
+        rels = [ModuleElement.from_polynomials(plain, [g]) for g in gens]
+        with pytest.raises(InvariantViolation, match="resolution not minimal"):
+            _resolve(ring, (0,), rels, tri.quotient_dim, 40)
 
 
 class TestHilbert:
