@@ -346,7 +346,7 @@ def _cmd_corpus(args) -> int:
                 )
             reports.append(rep)
             ok = ok and rep.ok
-        # a cached basis points back at its ring: break the cycle now
+        # no later fixture uses this one's bases
         fx.ring.basis_cache.clear()
         results.append((path.name, reports))
     lines = []

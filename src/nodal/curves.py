@@ -55,6 +55,16 @@ def default_ring(prime: int = DEFAULT_PRIME) -> Ring:
     return Ring("x0,x1,x2", p=prime)
 
 
+def _conic_rank(f: Polynomial) -> int:
+    """Rank of twice the symmetric matrix of a quadratic form in 3 variables."""
+    m = np.zeros((3, 3), dtype=np.int64)
+    for mono, c in f.terms.items():
+        i, j = [v for v in range(3) for _ in range(mono[v])]
+        m[i, j] += c
+        m[j, i] += c
+    return linalg.rank(m, f.ring.p)
+
+
 @dataclass
 class CurveComponent:
     """One reduced component: its form, degree, and an optional conductor.
@@ -79,7 +89,9 @@ class CurveSpec:
     components_certified records whether the component list is trusted as
     the full irreducible decomposition bookkeeping: a curve handed over as a
     single implicit equation may well be reducible, so validators must not
-    read a component count off it.
+    read a component count off it.  A certified list is checked where that
+    is cheap: at odd p a conic component whose symmetric matrix has rank
+    below 3, a pair of lines, is refused.
     """
 
     __slots__ = (
@@ -116,6 +128,14 @@ class CurveSpec:
                 pair = Ideal(ring, [components[i].form, components[j].form])
                 if codimension(pair) != 2:
                     raise ValueError("components share a common factor")
+        # at odd p a conic is irreducible iff its symmetric matrix has rank 3
+        if components_certified and ring.p != 2:
+            for comp in components:
+                if comp.degree == 2 and _conic_rank(comp.form) < 3:
+                    raise ValueError(
+                        f"conic component {comp.form} is a pair of lines;"
+                        " list the lines as components"
+                    )
         self.components = components
         self.components_certified = bool(components_certified)
         self.ring = ring

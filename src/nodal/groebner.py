@@ -3,9 +3,11 @@
 `groebner_basis` picks one of two engines, and both queue S-pairs through one
 pair update with the Gebauer-Moeller criteria (`_new_pairs`).  Homogeneous
 input, ideals and submodules alike, goes to a degreewise Macaulay-matrix
-elimination: it row-reduces the span of the monomial multiples of the current
-basis one degree at a time, harvesting new lead terms until no S-pair degree
-is outstanding, and yields the reduced basis directly.  Inhomogeneous input
+elimination shaped like F4: each degree's matrix splits into reducer rows,
+one per term a basis lead divides and already in echelon form, and the rest,
+which are reduced against them by forward substitution before only they go
+through `linalg.rref`.  The engine works on terms packed into ints and yields
+the reduced basis directly, with no interreduction pass.  Inhomogeneous input
 goes to Buchberger's algorithm and a final interreduction.  Syzygies are read
 off the basis of the rows (g_i | e_i), through the same dispatch and cache.
 
@@ -16,6 +18,8 @@ module degree of a term is deg(monomial) + twist(component).
 from __future__ import annotations
 
 import heapq
+import struct
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -296,13 +300,21 @@ def _new_pairs(leads, lead, coprime_skip):
     cand = [
         (i, mono_lcm(m, mono)) for i, (c, m) in enumerate(leads) if c == comp
     ]
+    # A proper divisor has lower degree, and divisibility is transitive, so
+    # the lcms no other lcm properly divides are found by testing each, in
+    # increasing degree, against those found before it.
+    minimal: list[Mono] = []
+    for lcm in sorted({lcm for _, lcm in cand}, key=mono_degree):
+        if not any(mono_divides(o, lcm) for o in minimal):
+            minimal.append(lcm)
+    minimal_set = set(minimal)
     pairs = []
     decided: set[Mono] = set()
     for i, lcm in cand:
         if lcm in decided:
             continue
         decided.add(lcm)
-        if any(o != lcm and mono_divides(o, lcm) for _, o in cand):
+        if lcm not in minimal_set:
             continue
         if coprime_skip and lcm == mono_mul(leads[i][1], mono):
             continue
@@ -371,6 +383,44 @@ class GroebnerBasis:
         return iter(self.elements)
 
 
+class _CacheEntry:
+    """A basis as its ring's cache keeps it: every part but the ring.
+
+    A basis and its elements point at their ring, so a cache holding them
+    would make each ring a reference cycle, and a dropped ring would wait for
+    a full cyclic collection.  The entry keeps the shape, the order and each
+    element's terms, and weakly the ring and the basis object last built from
+    them, which `basis` returns while anything else holds it.
+    """
+
+    __slots__ = ("_ring", "shape", "order", "terms", "_basis")
+
+    def __init__(self, gb: GroebnerBasis):
+        self._ring = weakref.ref(gb.ring)
+        self.shape = gb.shape
+        self.order = gb.order
+        self.terms = tuple(z.terms for z in gb.elements)
+        self._basis = weakref.ref(gb)
+
+    @property
+    def ring(self) -> Ring:
+        return self._ring()
+
+    def basis(self) -> GroebnerBasis:
+        gb = self._basis()
+        if gb is None:
+            ring = self.ring
+            if isinstance(self.order, MonomialOrder):
+                elements = tuple(Polynomial(ring, t) for t in self.terms)
+            else:
+                elements = tuple(
+                    ModuleElement(ring, self.shape, t) for t in self.terms
+                )
+            gb = GroebnerBasis(ring, self.shape, self.order, elements)
+            self._basis = weakref.ref(gb)
+        return gb
+
+
 def _resolve_order(ring: Ring, order) -> MonomialOrder:
     if order is None:
         return ring.grevlex
@@ -383,96 +433,180 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     """Homogeneous basis completion by degreewise row reduction.
 
     inputs: (terms dict keyed by (component, monomial), module degree) pairs.
-    Each outstanding degree assembles a matrix from just the S-pair multiples
-    and same-degree inputs, then closes it under reduction symbolically: any
-    occurring term divisible by a basis lead pulls in one shifted copy of
-    that basis element as a row.  The echelon form then reduces every S-pair
-    of the degree in one pass, and a pivot at a column no basis lead divides
-    is a genuinely new lead.  S-pairs are queued through `_new_pairs` by the
-    degree of their lcm, so no degree with outstanding pairs is skipped,
-    which is the Buchberger termination argument; the coprime-lead shortcut
-    is only sound in rank one.
+    Each outstanding degree e assembles a matrix from the S-pair multiples
+    and the inputs of degree e, then closes it under reduction symbolically:
+    every occurring term that a basis lead divides gets exactly one echelon
+    row with that lead, an S-pair multiple when one has it and a shifted
+    basis element otherwise.  These rows form the block A of F4
+    (J.-C. Faugere, JPAA 139, 1999): their leads are distinct and they are
+    monic, so they are already in echelon form and never enter `linalg.rref`.
+    Every other row, the inputs of degree e and all but one S-pair multiple
+    per lead, forms the block C.  C is reduced against A by forward
+    substitution (`linalg.reduce_mod_echelon`, exact in int64 for every
+    prime below linalg.PRIME_LIMIT), taking the A pivots in increasing
+    column order, which is descending term order.  Then `linalg.rref` runs
+    on the reduced C alone, over the columns no A row leads.  Each of
+    its pivots is a term no basis lead divides, so it is a new lead.  S-pairs
+    are queued through `_new_pairs` by the degree of their lcm, so no degree
+    with outstanding pairs is skipped, which is the Buchberger termination
+    argument; the coprime-lead shortcut is only sound in rank one.
 
     Returns the reduced basis as term dicts sorted by ascending lead key,
     with no interreduction pass, because the harvested rows are already
     reduced:
-    - each row comes from a fully reduced `rref` with unit pivots, so it is
-      monic and free of every other pivot column of its matrix;
-    - symbolic preprocessing puts a pivot at every occurring term that an
-      earlier lead divides, so no tail term is divisible by an earlier lead;
+    - each comes from a fully reduced `rref` of C with unit pivots, so it is
+      monic and free of every other new lead of its degree;
+    - symbolic preprocessing gives every occurring term that an earlier lead
+      divides an A row, and reduced C vanishes in those columns, so no tail
+      term is divisible by an earlier lead;
     - degrees are processed in increasing order, and a lead of higher degree
       never divides a term of lower degree in the same component, so no later
       lead divides a tail term either;
-    - a new lead is kept only when no lead found so far divides it, and leads
-      of one degree are distinct pivots, so the lead set is minimal.
+    - the new leads of one degree are distinct terms of that degree, none
+      divisible by an earlier lead, so the lead set is minimal.
+    Reduced bases are unique, so the result does not depend on which row
+    serves as a lead's A row.
+
+    Terms are packed ints inside the engine (M. Monagan and R. Pearce, CASC
+    2007): a shift is an add, and a lead l divides a term t of the same
+    component exactly when ((t | G) - l) & G == G, G holding the top bit of
+    each field.  That test is exact while every exponent stays below 2^15,
+    since then no field borrows from the next.  It does: inputs are checked
+    against the cap before they are packed, every term of a finished degree
+    has total degree at most cap <= MAX_EXPONENT = 255 (`check_degree_cap`),
+    and a term built before the cap check fires is a shift of such a term by
+    a monomial of degree at most cap, so its exponents stay below 2*255.
+    Order keys are computed once per distinct term from its unpacked tuple,
+    and unpacking goes through one memo per run, so the output elements
+    share one tuple per term.
     """
     check_degree_cap(cap)
     p = ring.p
+    n = ring.nvars
+    # A packed term is the big-endian int of the component as 64 bits and
+    # then n exponent fields of 16 bits, so a shift is an add.
+    layout = struct.Struct(f">Q{n}H")
+    comp_shift = 16 * n
+    guard = sum(1 << (16 * i + 15) for i in range(n))
+    unpacked: dict[int, Term] = {}  # packed term -> (component, monomial)
+    keys: dict[int, int] = {}  # packed term -> order key
+
+    def pack(term):
+        t = int.from_bytes(layout.pack(term[0], *term[1]), "big")
+        unpacked.setdefault(t, term)
+        return t
+
+    def unpack(t):
+        term = unpacked.get(t)
+        if term is None:
+            comp, *mono = layout.unpack(t.to_bytes(layout.size, "big"))
+            term = unpacked[t] = (comp, tuple(mono))
+        return term
+
     by_deg: dict[int, list[dict]] = {}
     for terms, d in inputs:
         by_deg.setdefault(d, []).append(terms)
     pending = set(by_deg)
-    basis: list[dict] = []
-    leads: list[Term] = []  # lead term of each basis element
-    pairs: dict[int, list[tuple[int, int, Mono]]] = {}
+    bterms: list[list[int]] = []  # packed terms of each basis element, lead first
+    bcoefs: list[list[int]] = []
+    leads: list[Term] = []  # lead term of each basis element, unpacked
+    leads_by_comp: dict[int, list[tuple[int, int]]] = {}  # (packed lead, index)
+    pairs: dict[int, list[tuple[int, int, int]]] = {}  # (i, j, packed lcm)
 
     while pending:
         e = min(pending)
         pending.discard(e)
-        seeds = [dict(t) for t in by_deg.get(e, ())]
-        mults = set()
-        for i, j, lcm in pairs.pop(e, ()):
-            mults.add((i, mono_div(lcm, leads[i][1])))
-            mults.add((j, mono_div(lcm, leads[j][1])))
-        seeds.extend(_shift_dict(basis[idx], q) for idx, q in mults)
-        if not seeds:
-            continue
-        occurring = set()
-        reducers = []
-        stack = [t for row in seeds for t in row]
-        while stack:
-            t = stack.pop()
-            if t in occurring:
-                continue
-            occurring.add(t)
-            tc, tm = t
-            # a term of module degree e in component c has degree e - twist
-            if e - twists[tc] > cap:
+        # components in which a term of module degree e passes the cap
+        over = {c for c, tw in enumerate(twists) if e - tw > cap}
+        crows: list[tuple[list[int], list[int]]] = []  # the block C
+        for d in by_deg.get(e, ()):
+            if any(c in over for c, _ in d):
                 raise DegreeCapExceeded(
                     f"degree {e} builds monomials past the cap {cap}", cap=cap
                 )
-            for bidx, (bc, bm) in enumerate(leads):
-                if bc != tc or not mono_divides(bm, tm):
+            crows.append(([pack(t) for t in d], list(d.values())))
+        arow: dict[int, tuple[int, int]] = {}  # A: lead -> (basis index, shift)
+        seen = set()
+        for i, j, lcm in pairs.pop(e, ()):
+            for idx in (i, j):
+                q = lcm - bterms[idx][0]
+                if (idx, q) in seen:
                     continue
-                q = tuple(a - b for a, b in zip(tm, bm))
-                if (bidx, q) not in mults:
-                    row = _shift_dict(basis[bidx], q)
-                    reducers.append(row)
-                    stack.extend(row)
-                break
-        cols = sorted(occurring, key=keyf, reverse=True)
-        col = {t: i for i, t in enumerate(cols)}
-        all_rows = seeds + reducers
-        mat = np.zeros((len(all_rows), len(cols)), dtype=np.int64)
-        for k, row in enumerate(all_rows):
-            for t, c in row.items():
-                mat[k, col[t]] = c
-        R, piv = linalg.rref(mat, p)
-        for r, cidx in enumerate(piv):
-            lead = cols[cidx]
-            lc, lm = lead
-            if any(bc == lc and mono_divides(bm, lm) for bc, bm in leads):
-                continue
-            terms = {cols[k]: int(v) for k, v in enumerate(R[r]) if v}
-            j = len(basis)
+                seen.add((idx, q))
+                if lcm not in arow:
+                    arow[lcm] = (idx, q)
+                else:
+                    crows.append(([t + q for t in bterms[idx]], bcoefs[idx]))
+        if not crows:
+            continue
+        # symbolic preprocessing, one generation of new terms at a time
+        occurring: set[int] = set()
+        new = {t for ts, _ in crows for t in ts}
+        for idx, q in arow.values():
+            new.update([t + q for t in bterms[idx]])
+        while new:
+            occurring |= new
+            grown: set[int] = set()
+            for t in new:
+                tc = t >> comp_shift
+                if tc in over:
+                    raise DegreeCapExceeded(
+                        f"degree {e} builds monomials past the cap {cap}", cap=cap
+                    )
+                if t in arow:
+                    continue
+                tg = t | guard
+                for lt, bidx in leads_by_comp.get(tc, ()):
+                    if (tg - lt) & guard == guard:
+                        q = t - lt
+                        arow[t] = (bidx, q)
+                        grown.update([s + q for s in bterms[bidx]])
+                        break
+            new = grown - occurring
+        for t in occurring:
+            if t not in keys:
+                keys[t] = keyf(unpack(t))
+        cols = sorted(occurring, key=keys.__getitem__, reverse=True)
+        col = {t: k for k, t in enumerate(cols)}
+        C = np.zeros((len(crows), len(cols)), dtype=np.int64)
+        for k, (ts, cs) in enumerate(crows):
+            C[k, [col[t] for t in ts]] = cs
+        apiv = sorted(col[t] for t in arow)
+        width = max((len(bterms[b]) for b, _ in arow.values()), default=1)
+        acols = np.full((len(apiv), width), len(cols))
+        avals = np.zeros((len(apiv), width), dtype=np.int64)
+        for k, c in enumerate(apiv):
+            bidx, q = arow[cols[c]]
+            ts = bterms[bidx]
+            acols[k, : len(ts)] = [col[s + q] for s in ts]
+            avals[k, : len(ts)] = bcoefs[bidx]
+        C = linalg.reduce_mod_echelon(acols, avals, C, p)
+        free = np.ones(len(cols), dtype=bool)
+        free[apiv] = False
+        fcols = np.flatnonzero(free).tolist()
+        C = C[:, fcols]
+        if not C.any():
+            continue
+        R, piv = linalg.rref(C, p)
+        for r in range(len(piv)):
+            nz = np.flatnonzero(R[r]).tolist()
+            ts = [cols[fcols[k]] for k in nz]
+            cs = R[r, nz].tolist()
+            lead = unpack(ts[0])
+            lc = lead[0]
+            j = len(bterms)
             for i, lcm in _new_pairs(leads, lead, coprime_skip):
                 d = mono_degree(lcm) + twists[lc]
-                pairs.setdefault(d, []).append((i, j, lcm))
+                pairs.setdefault(d, []).append((i, j, pack((lc, lcm))))
                 pending.add(d)
-            basis.append(terms)
+            bterms.append(ts)
+            bcoefs.append(cs)
             leads.append(lead)
-    ranked = sorted(range(len(basis)), key=lambda i: keyf(leads[i]))
-    return [basis[i] for i in ranked]
+            leads_by_comp.setdefault(lc, []).append((ts[0], j))
+    ranked = sorted(range(len(bterms)), key=lambda i: keys[bterms[i][0]])
+    return [
+        {unpack(t): c for t, c in zip(bterms[i], bcoefs[i])} for i in ranked
+    ]
 
 
 def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
@@ -636,7 +770,8 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     so every ideal or submodule named by the same generators, in any list
     order and by any object, shares one computation.  A computed basis is
     also stored under its own elements: an ideal built from a reduced basis
-    finds it without recomputing.
+    finds it without recomputing.  The cache holds no reference back to the
+    ring (`_CacheEntry`), so a dropped ring is freed at once.
     """
     gens = list(gens)
     module = bool(gens) and isinstance(gens[0], ModuleElement)
@@ -651,10 +786,10 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
         order = PositionOverTerm(ring.grevlex, shape.rank)
     cache = ring.basis_cache
     key = (order.name, cap, shape, _generator_set(live))
-    gb = cache.get(key)
-    if gb is not None:
+    entry = cache.get(key)
+    if entry is not None:
         cache.move_to_end(key)
-        return gb
+        return entry.basis()
     if not all(z.is_homogeneous() for z in live):
         gb = buchberger(gens, order, cap)
     elif module:
@@ -672,9 +807,10 @@ def _store_basis(gb: GroebnerBasis, cap: int, gens) -> None:
     its least recently used entries beyond BASIS_CACHE_SIZE.
     """
     cache = gb.ring.basis_cache
+    entry = _CacheEntry(gb)
     for elements in (gens, gb.elements):
         k = (gb.order.name, cap, gb.shape, _generator_set(elements))
-        cache[k] = gb
+        cache[k] = entry
         cache.move_to_end(k)
     while len(cache) > BASIS_CACHE_SIZE:
         cache.popitem(last=False)

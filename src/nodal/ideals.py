@@ -456,26 +456,6 @@ def _degree_slice(gb: GroebnerBasis, degree: int):
     return cols, vals
 
 
-def _reduce_mod_slice(cols, vals, W, p: int):
-    """Reduce the rows of W modulo the span of the echelon rows (cols, vals).
-
-    Returns the unique rows of W + span that vanish in every pivot column
-    cols[:, 0], which is what `linalg.reduce_rows` gives against the `rref`
-    of the same rows.  Forward substitution on the transpose: the pivots are
-    taken in increasing column order, and each clears its column by a rank-1
-    update of the later columns, so a pivot column is final when reached.
-    W holds residues and so does every update: with b, c, v in [0, p),
-    b - v*c lies in (-(p-1)^2, p), inside int64 for every p below
-    linalg.PRIME_LIMIT, and each step reduces mod p again.
-    """
-    WT = np.zeros((W.shape[1] + 1, W.shape[0]), dtype=np.int64)  # + sink row
-    WT[:-1] = W.T
-    for c, rest, coeffs in zip(cols[:, 0].tolist(), cols[:, 1:], vals[:, 1:]):
-        WT[rest] = (WT[rest] - coeffs[:, None] * WT[c]) % p
-        WT[c] = 0
-    return WT[:-1].T
-
-
 def _uni_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -570,9 +550,9 @@ def points_are_reduced(
     The rows spanning W come from `_projection_rows`, a numpy recurrence on
     the coefficient matrix of (l1, l2) that is exact in int64: every term
     stays below 3p before its final reduction.  They are reduced modulo the
-    slice by `_reduce_mod_slice`, a forward substitution against the slice
-    rows as `_degree_slice` builds them, already in echelon form with unit
-    leads; no echelon form of the slice is computed.  Each of its updates
+    slice by `linalg.reduce_mod_echelon`, a forward substitution against the
+    slice rows as `_degree_slice` builds them, already in echelon form with
+    unit leads; no echelon form of the slice is computed.  Each of its updates
     forms b - v*c from residues b, v, c, a value in (-(p-1)^2, p) that int64
     holds exactly for every p below linalg.PRIME_LIMIT = 2^31, and reduces it
     mod p at once.
@@ -600,7 +580,7 @@ def points_are_reduced(
         if linalg.rank(lin, ring.p) < 2:
             continue
         wrows = _projection_rows(lin, delta, ring.p, monos)
-        reduced_w = _reduce_mod_slice(cols, vals, wrows, ring.p)
+        reduced_w = linalg.reduce_mod_echelon(cols, vals, wrows, ring.p)
         lam = linalg.nullspace(reduced_w.T, ring.p)
         if lam.shape[0] == 0:
             raise InvariantViolation("no cycle form found in the slice")

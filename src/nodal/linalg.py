@@ -94,6 +94,28 @@ def reduce_rows(R, pivots, B, p: int):
     return B
 
 
+def reduce_mod_echelon(cols, vals, W, p: int):
+    """Reduce the rows of W modulo the span of sparse echelon rows.
+
+    Row i of the echelon rows has its terms in columns cols[i] with values
+    vals[i], its unit pivot first, padded with the column W.shape[1] (a sink)
+    and value 0; the pivots cols[:, 0] increase.  Returns the unique rows of
+    W + span that vanish in every pivot column, which is what `reduce_rows`
+    gives against the `rref` of the same rows.  Forward substitution on the
+    transpose: the pivots are taken in increasing column order, and each
+    clears its column by a rank-1 update of the later columns, so a pivot
+    column is final when reached.  W holds residues and so does every update:
+    with b, c, v in [0, p), b - v*c lies in (-(p-1)^2, p), inside int64 for
+    every p below PRIME_LIMIT, and each step reduces mod p again.
+    """
+    WT = np.zeros((W.shape[1] + 1, W.shape[0]), dtype=np.int64)  # + sink row
+    WT[:-1] = W.T
+    for c, rest, coeffs in zip(cols[:, 0].tolist(), cols[:, 1:], vals[:, 1:]):
+        WT[rest] = (WT[rest] - coeffs[:, None] * WT[c]) % p
+        WT[c] = 0
+    return WT[:-1].T
+
+
 def nullspace(A, p: int):
     """Basis of {v : A v = 0}, one vector per row of the result."""
     A = np.asarray(A, dtype=np.int64)

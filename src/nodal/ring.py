@@ -196,7 +196,9 @@ def check_degree_cap(cap: int) -> None:
 class Ring:
     """The ring F_p[x_0, ..., x_{n-1}] for a prime p and named variables."""
 
-    __slots__ = ("p", "names", "nvars", "_index", "_grevlex", "basis_cache")
+    __slots__ = (
+        "p", "names", "nvars", "_index", "_grevlex", "basis_cache", "__weakref__"
+    )
 
     def __init__(self, names, p: int = 32003):
         if isinstance(names, str):
@@ -216,7 +218,8 @@ class Ring:
         self._index = {nm: i for i, nm in enumerate(names)}
         self._grevlex = Grevlex(self.nvars)
         # Reduced Groebner bases over this ring, least recently used first;
-        # groebner.groebner_basis fills and bounds it.
+        # groebner.groebner_basis fills and bounds it, with entries that
+        # point back at the ring only weakly.
         self.basis_cache: OrderedDict = OrderedDict()
 
     def __eq__(self, other):

@@ -101,6 +101,19 @@ class TestErrorPaths:
         assert main(["gb", str(bad)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_line_pair_conic_component_refused(self, tmp_path, capsys):
+        # x0*x1 listed as one component is two lines, not an irreducible
+        # conic; counted as one it would make regularity-syzygy FAIL
+        p = tmp_path / "pair.fix"
+        p.write_text(
+            "ring p=32003 vars=x0,x1,x2\ncomponent: x0*x1\ncomponent: x2\n"
+        )
+        assert main(["conductor", str(p)]) == 2
+        assert "pair of lines" in capsys.readouterr().err
+        args = ["verify", "--statement", "regularity-syzygy", "--fixture", str(p)]
+        assert main(args) == 2
+        assert "invalid input" in capsys.readouterr().err
+
     def test_cusp_is_certificate_failure(self, tmp_path, capsys):
         p = tmp_path / "cusp.fix"
         p.write_text(CUSP)

@@ -53,6 +53,21 @@ class TestCurveSpec:
         with pytest.raises(ValueError, match="common factor"):
             CurveSpec.from_forms([ring.parse("x0*x1"), ring.parse("x0*x2")])
 
+    def test_rejects_line_pair_conic(self, ring):
+        with pytest.raises(ValueError, match="pair of lines"):
+            CurveSpec.from_forms([ring.parse("x0*x1"), ring.parse("x2")])
+        with pytest.raises(ValueError, match="pair of lines"):
+            CurveSpec.from_forms([ring.parse("x0^2 - x1^2 + x2^2 - 2*x0*x2")])
+        # the same form is fine when the list is not trusted as irreducible
+        spec = CurveSpec.from_forms(
+            [ring.parse("x0*x1")], components_certified=False
+        )
+        assert spec.degree == 2
+
+    def test_smooth_conic_accepted(self, ring):
+        spec = CurveSpec.from_forms([ring.parse("x0^2 + x1^2 + x2^2 + x0*x1")])
+        assert len(spec) == 1
+
     def test_rejects_wrong_stated_degree(self, ring):
         comp = CurveComponent(ring.parse("x0"), 2)
         with pytest.raises(ValueError, match="degree"):

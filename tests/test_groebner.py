@@ -1,5 +1,7 @@
 """Groebner engines, normal forms, syzygies, minimal generators."""
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -146,6 +148,49 @@ class TestEngineAgreement:
                 want = oracles.quotient_dim(gens, e)
                 got = oracles.mono_quotient_dim(leads, 3, e)
                 assert want == got
+
+
+AGREEMENT_PRIMES = [7, 32003, 2**31 - 1]
+
+
+class TestPackedEngineAgreement:
+    """The Macaulay engine works on packed terms; Buchberger works on tuples."""
+
+    @pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+    def test_random_ideals(self, p):
+        ring = Ring("x0,x1,x2", p=p)
+        rng = random.Random(p)
+        for _ in range(6):
+            gens = random_homogeneous_ideal(ring, rng, count=rng.randrange(2, 5))
+            assert list(macaulay_gb(gens).elements) == list(buchberger(gens).elements)
+
+    @pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_random_twisted_modules(self, p, rank):
+        ring = Ring("x0,x1,x2", p=p)
+        rng = random.Random(f"{p}:{rank}")
+        for _ in range(4):
+            shape = FreeModuleShape(rank, tuple(rng.randrange(3) for _ in range(rank)))
+            gens = []
+            for _ in range(rng.randrange(2, 4)):
+                d = max(shape.twists) + rng.randrange(1, 3)
+                comps = [ring.random_form(d - t, rng) for t in shape.twists]
+                gens.append(ModuleElement.from_polynomials(shape, comps))
+            a = macaulay_module_gb(gens)
+            assert list(a.elements) == list(buchberger(gens).elements)
+
+    def test_exponents_at_the_cap(self):
+        # x^255 walks down a chain of 127 reducer rows to y^255, so exponent
+        # fields run from 0 to 255, the most a cap of 255 lets a term hold
+        r = Ring("x,y", p=32003)
+        f1 = r.parse("x^2 + 3*x*y - y^2")
+        top = r.parse("x^255")
+        f2 = top - normal_form(top, buchberger([f1], cap=255), cap=255)
+        f2 = f2 + r.parse("y^255")
+        assert max(max(m) for m in f2.terms) == 255
+        gb = macaulay_gb([f1, f2], cap=255)
+        assert list(gb.elements) == list(buchberger([f1, f2], cap=255).elements)
+        assert list(gb.elements) == [f1, r.parse("y^255")]
 
 
 def assert_interreduction_is_identity(gb):
@@ -576,6 +621,26 @@ class TestBasisCache:
             assert all(entry.ring.p == p for entry in r.basis_cache.values())
             bases[p] = sorted(str(g) for g in gb.elements)
         assert bases[32003] != bases[32009]
+
+    def test_dropped_basis_is_rebuilt_from_the_cache(self, ring, engine_runs):
+        gens = [ring.parse(t) for t in CACHE_GENS]
+        for g in (gens, random_homogeneous_module(ring, random.Random(5))):
+            want = list(groebner_basis(g).elements)  # nothing holds the basis
+            assert list(groebner_basis(g).elements) == want
+        assert engine_runs == ["macaulay_gb", "macaulay_module_gb"]
+
+    def test_dropped_ring_is_freed_without_a_collection(self):
+        gc.collect()
+        gc.disable()
+        try:
+            r = Ring("x0,x1,x2")
+            gb = Ideal.parse(r, CACHE_GENS).gb()
+            assert r.basis_cache
+            freed = weakref.ref(r)
+            del r, gb
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_cap_is_part_of_the_key(self, ring):
         gens = [ring.parse("x0^2*x1 - x2^3"), ring.parse("x0*x1^2 - x2^3")]

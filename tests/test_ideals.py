@@ -9,7 +9,6 @@ from nodal.ideals import (
     Ideal,
     _degree_slice,
     _projection_rows,
-    _reduce_mod_slice,
     codimension,
     curve_is_squarefree,
     ideal_product,
@@ -540,7 +539,7 @@ class TestDegreeSlice:
             for lin in lins:
                 W = _projection_rows(lin, delta, p, monos)
                 want, pivots = _reduced_projection_reference(gb, delta, W)
-                got = _reduce_mod_slice(cols, vals, W, p)
+                got = linalg.reduce_mod_echelon(cols, vals, W, p)
                 assert cols[:, 0].tolist() == pivots
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (str(ideal), delta)

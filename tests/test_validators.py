@@ -1,4 +1,6 @@
 """Statement validators against worked examples with frozen values."""
+import gc
+
 import pytest
 
 from nodal import (
@@ -16,6 +18,7 @@ from nodal import (
     saturate,
 )
 from nodal import validators
+from nodal.groebner import GroebnerBasis
 from nodal.validators import (
     STATEMENTS,
     adjoint_completeness_check,
@@ -260,6 +263,22 @@ class TestStatementRunners:
         assert v.computed["symbolic_square_indeg"] == 10
         assert v.computed["regularity"] == 7
         assert v.computed["h0_jump_degree"] == 2
+
+    @pytest.mark.parametrize("statement", list(STATEMENTS))
+    def test_runner_ring_leaves_no_cached_basis(self, statement):
+        # the ring a runner builds, and every basis cached in it, is freed
+        # by reference counting, not by a later full cyclic collection
+        def tracked_bases():
+            return sum(isinstance(o, GroebnerBasis) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = tracked_bases()
+            run_statement(statement, seed=0)
+            assert tracked_bases() == before
+        finally:
+            gc.enable()
 
     def test_generated_conics_are_smooth(self, monkeypatch):
         # at p = 3 a random conic is often a line pair, which made the "conic
