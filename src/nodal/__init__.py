@@ -34,7 +34,6 @@ from .groebner import (
     buchberger,
     groebner_basis,
     macaulay_gb,
-    minimal_module_generators,
     normal_form,
     syzygy_generators,
 )

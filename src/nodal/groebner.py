@@ -11,6 +11,12 @@ the reduced basis directly, with no interreduction pass.  Inhomogeneous input
 goes to Buchberger's algorithm and a final interreduction.  Syzygies are read
 off the basis of the rows (g_i | e_i), through the same dispatch and cache.
 
+Minimal generators come out of the same Macaulay run, with no elimination of
+their own: in each degree the engine marks the new basis elements whose leads
+the S-pair rows of that degree do not reach, and the basis carries the marks
+(`GroebnerBasis.minimal`).  `Ideal.minimal_gens`, `syzygy_generators` and
+`resolution.resolve_presented` read them.
+
 Terms of a module element are keyed (component, monomial) and compared through
 integer keys, see ring.py.  Component twists record generator degrees, so the
 module degree of a term is deg(monomial) + twist(component).
@@ -130,12 +136,13 @@ class RingOrderAdapter(ModuleOrder):
 class ModuleElement:
     """Element of a twisted free module over one ring."""
 
-    __slots__ = ("ring", "shape", "terms")
+    __slots__ = ("ring", "shape", "terms", "_grading")
 
     def __init__(self, ring: Ring, shape: FreeModuleShape, terms: dict):
         self.ring = ring
         self.shape = shape
         self.terms = terms
+        self._grading = None
 
     @classmethod
     def from_polynomials(cls, shape: FreeModuleShape, polys) -> "ModuleElement":
@@ -158,17 +165,25 @@ class ModuleElement:
     def components(self) -> list[Polynomial]:
         return [self.component(i) for i in range(self.shape.rank)]
 
+    def _graded(self) -> tuple[bool, int | None]:
+        """(homogeneous, common degree or None), from one walk of the terms.
+
+        Elements are never changed after construction, so the walk is kept.
+        """
+        if self._grading is None:
+            degs = {self.shape.term_degree(t) for t in self.terms}
+            self._grading = (len(degs) <= 1, degs.pop() if len(degs) == 1 else None)
+        return self._grading
+
     def module_degree(self):
         """Common degree of all terms, or None for the zero element."""
-        degs = {self.shape.term_degree(t) for t in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
+        homogeneous, degree = self._graded()
+        if not homogeneous:
             raise InvariantViolation("module element is not homogeneous")
-        return degs.pop()
+        return degree
 
     def is_homogeneous(self) -> bool:
-        return len({self.shape.term_degree(t) for t in self.terms}) <= 1
+        return self._graded()[0]
 
     def __bool__(self):
         return bool(self.terms)
@@ -349,12 +364,22 @@ def _interreduce(ring, gels, keyf, cap):
 
 @dataclass
 class GroebnerBasis:
-    """Reduced Groebner basis, monic elements sorted by ascending lead."""
+    """Reduced Groebner basis, monic elements sorted by ascending lead.
+
+    minimal indexes, by degree and then by position, the elements the
+    Macaulay engine marked: a minimal generating set of the ideal or module,
+    or for syzygy rows of the syzygies (see `syzygy_generators`).  It is None
+    for a basis from Buchberger's algorithm, which marks nothing.
+    """
 
     ring: Ring
     shape: FreeModuleShape
     order: object  # MonomialOrder for rank 1, ModuleOrder otherwise
     elements: tuple
+    minimal: tuple | None = None
+
+    def minimal_elements(self) -> list:
+        return [self.elements[i] for i in self.minimal]
 
     @property
     def rank1(self) -> bool:
@@ -388,18 +413,19 @@ class _CacheEntry:
 
     A basis and its elements point at their ring, so a cache holding them
     would make each ring a reference cycle, and a dropped ring would wait for
-    a full cyclic collection.  The entry keeps the shape, the order and each
-    element's terms, and weakly the ring and the basis object last built from
-    them, which `basis` returns while anything else holds it.
+    a full cyclic collection.  The entry keeps the shape, the order, each
+    element's terms and the marks, and weakly the ring and the basis object
+    last built from them, which `basis` returns while anything else holds it.
     """
 
-    __slots__ = ("_ring", "shape", "order", "terms", "_basis")
+    __slots__ = ("_ring", "shape", "order", "terms", "minimal", "_basis")
 
     def __init__(self, gb: GroebnerBasis):
         self._ring = weakref.ref(gb.ring)
         self.shape = gb.shape
         self.order = gb.order
         self.terms = tuple(z.terms for z in gb.elements)
+        self.minimal = gb.minimal
         self._basis = weakref.ref(gb)
 
     @property
@@ -416,7 +442,7 @@ class _CacheEntry:
                 elements = tuple(
                     ModuleElement(ring, self.shape, t) for t in self.terms
                 )
-            gb = GroebnerBasis(ring, self.shape, self.order, elements)
+            gb = GroebnerBasis(ring, self.shape, self.order, elements, self.minimal)
             self._basis = weakref.ref(gb)
         return gb
 
@@ -429,7 +455,7 @@ def _resolve_order(ring: Ring, order) -> MonomialOrder:
     return order
 
 
-def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
+def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip, minimal_from):
     """Homogeneous basis completion by degreewise row reduction.
 
     inputs: (terms dict keyed by (component, monomial), module degree) pairs.
@@ -452,7 +478,8 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     argument; the coprime-lead shortcut is only sound in rank one.
 
     Returns the reduced basis as term dicts sorted by ascending lead key,
-    with no interreduction pass, because the harvested rows are already
+    and the positions of the marked elements by degree and then position.
+    There is no interreduction pass, because the harvested rows are already
     reduced:
     - each comes from a fully reduced `rref` of C with unit pivots, so it is
       monic and free of every other new lead of its degree;
@@ -466,6 +493,23 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
       divisible by an earlier lead, so the lead set is minimal.
     Reduced bases are unique, so the result does not depend on which row
     serves as a lead's A row.
+
+    The run also marks minimal generators, degree by degree as in R. La Scala
+    and M. Stillman (JSC 26, 1998).  The S-pairs of degree e are between
+    elements of lower degree, so with their A rows and the reducer rows they
+    span (S_+ M)_e, the degree-e part of the submodule the lower-degree
+    elements generate.  Its leads are the terms an earlier lead divides and
+    the pivots of the S-pair rows of C after forward substitution, which one
+    more `rref` finds.  A new element whose lead is not among those pivots is
+    marked: the marked elements of degree e have distinct leads outside the
+    leads of (S_+ M)_e, so they are independent modulo it, and there are
+    dim M_e - dim (S_+ M)_e of them, a complement.  Only S-pairs whose lcm
+    lies in component minimal_from or later count, and only elements led
+    there are marked.  Under position over term those are the elements with
+    no term below minimal_from, so the marks minimally generate that
+    submodule; for the rows (g_i | e_i) with minimal_from = k they are the
+    minimal syzygies.  The marks depend only on the module, the order and
+    minimal_from, not on the input list.
 
     Terms are packed ints inside the engine (M. Monagan and R. Pearce, CASC
     2007): a shift is an add, and a lead l divides a term t of the same
@@ -512,6 +556,7 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
     leads: list[Term] = []  # lead term of each basis element, unpacked
     leads_by_comp: dict[int, list[tuple[int, int]]] = {}  # (packed lead, index)
     pairs: dict[int, list[tuple[int, int, int]]] = {}  # (i, j, packed lcm)
+    marked: list[tuple[int, int]] = []  # (degree, basis index)
 
     while pending:
         e = min(pending)
@@ -527,7 +572,9 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
             crows.append(([pack(t) for t in d], list(d.values())))
         arow: dict[int, tuple[int, int]] = {}  # A: lead -> (basis index, shift)
         seen = set()
+        counted = []  # S-pair rows of C that count for the marks
         for i, j, lcm in pairs.pop(e, ()):
+            rows = counted if lcm >> comp_shift >= minimal_from else crows
             for idx in (i, j):
                 q = lcm - bterms[idx][0]
                 if (idx, q) in seen:
@@ -536,7 +583,10 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
                 if lcm not in arow:
                     arow[lcm] = (idx, q)
                 else:
-                    crows.append(([t + q for t in bterms[idx]], bcoefs[idx]))
+                    rows.append(([t + q for t in bterms[idx]], bcoefs[idx]))
+        # C is the inputs, the S-pair rows that do not count, then those that do
+        n_other = len(crows)
+        crows += counted
         if not crows:
             continue
         # symbolic preprocessing, one generation of new terms at a time
@@ -588,13 +638,25 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
         if not C.any():
             continue
         R, piv = linalg.rref(C, p)
-        for r in range(len(piv)):
+        # pivots of the counted S-pair rows: leads of (S_+ M)_e no earlier
+        # lead divides; needless when no new lead can be marked
+        if n_other == 0:
+            reached = set(piv)
+        elif counted and any(
+            cols[fcols[c]] >> comp_shift >= minimal_from for c in piv
+        ):
+            reached = set(linalg.rref(C[n_other:], p)[1])
+        else:
+            reached = set()
+        for r, c in enumerate(piv):
             nz = np.flatnonzero(R[r]).tolist()
             ts = [cols[fcols[k]] for k in nz]
             cs = R[r, nz].tolist()
             lead = unpack(ts[0])
             lc = lead[0]
             j = len(bterms)
+            if lc >= minimal_from and c not in reached:
+                marked.append((e, j))
             for i, lcm in _new_pairs(leads, lead, coprime_skip):
                 d = mono_degree(lcm) + twists[lc]
                 pairs.setdefault(d, []).append((i, j, pack((lc, lcm))))
@@ -604,9 +666,9 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip):
             leads.append(lead)
             leads_by_comp.setdefault(lc, []).append((ts[0], j))
     ranked = sorted(range(len(bterms)), key=lambda i: keys[bterms[i][0]])
-    return [
-        {unpack(t): c for t, c in zip(bterms[i], bcoefs[i])} for i in ranked
-    ]
+    pos = {j: r for r, j in enumerate(ranked)}
+    basis = [{unpack(t): c for t, c in zip(bterms[i], bcoefs[i])} for i in ranked]
+    return basis, tuple(r for _, r in sorted((e, pos[j]) for e, j in marked))
 
 
 def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
@@ -625,18 +687,25 @@ def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasi
     for f in gens:
         if f.ring != ring:
             raise RingMismatchError("generators over different rings")
-        if not f.is_homogeneous():
-            raise ValueError("macaulay_gb needs homogeneous input")
 
     keyf = RingOrderAdapter(order).key
+    # homogeneous_degree raises ValueError on inhomogeneous input
     inputs = [(_poly_to_dict(f), f.homogeneous_degree()) for f in gens]
-    basis = _macaulay_engine(ring, (0,), inputs, keyf, cap, coprime_skip=True)
+    basis, minimal = _macaulay_engine(
+        ring, (0,), inputs, keyf, cap, coprime_skip=True, minimal_from=0
+    )
     elements = tuple(_dict_to_poly(ring, terms) for terms in basis)
-    return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements)
+    return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements, minimal)
 
 
-def macaulay_module_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Reduced basis of a homogeneous submodule by degreewise row reduction."""
+def macaulay_module_gb(
+    gens, order=None, cap: int = DEFAULT_DEGREE_CAP, *, _minimal_from: int = 0
+) -> GroebnerBasis:
+    """Reduced basis of a homogeneous submodule by degreewise row reduction.
+
+    _minimal_from is for `syzygy_generators` alone: the marks then count only
+    the submodule with no term below that component (see `_macaulay_engine`).
+    """
     gens = [z for z in gens if z]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -648,12 +717,13 @@ def macaulay_module_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> Groeb
     if order is None:
         order = PositionOverTerm(ring.grevlex, shape.rank)
 
-    inputs = [(dict(z.terms), z.module_degree()) for z in gens]
-    basis = _macaulay_engine(
-        ring, shape.twists, inputs, order.key, cap, coprime_skip=False
+    inputs = [(z.terms, z.module_degree()) for z in gens]
+    basis, minimal = _macaulay_engine(
+        ring, shape.twists, inputs, order.key, cap,
+        coprime_skip=False, minimal_from=_minimal_from,
     )
     elements = tuple(ModuleElement(ring, shape, terms) for terms in basis)
-    return GroebnerBasis(ring, shape, order, elements)
+    return GroebnerBasis(ring, shape, order, elements, minimal)
 
 
 def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
@@ -759,19 +829,23 @@ def _generator_set(elements) -> frozenset:
     return frozenset(_sorted_terms(z) for z in elements if z)
 
 
-def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+def groebner_basis(
+    gens, order=None, cap: int = DEFAULT_DEGREE_CAP, *, _minimal_from: int = 0
+) -> GroebnerBasis:
     """Reduced Groebner basis; the one place that picks the engine.
 
     Homogeneous input goes to `macaulay_gb` (ideals) or `macaulay_module_gb`
-    (submodules), anything else to `buchberger`.
+    (submodules), anything else to `buchberger`.  _minimal_from is for
+    `syzygy_generators` alone and passes to `macaulay_module_gb`.
 
     Each ring caches the bases computed over it, keyed by the order's name,
-    the cap, the module shape (rank one for polynomials) and the generator set,
-    so every ideal or submodule named by the same generators, in any list
-    order and by any object, shares one computation.  A computed basis is
-    also stored under its own elements: an ideal built from a reduced basis
-    finds it without recomputing.  The cache holds no reference back to the
-    ring (`_CacheEntry`), so a dropped ring is freed at once.
+    the cap, the module shape (rank one for polynomials), _minimal_from,
+    which the marks depend on, and the generator set, so every ideal or
+    submodule named by the same generators, in any list order and by any
+    object, shares one computation.  A computed basis is also stored under
+    its own elements: an ideal built from a reduced basis finds it without
+    recomputing.  The cache holds no reference back to the ring
+    (`_CacheEntry`), so a dropped ring is freed at once.
     """
     gens = list(gens)
     module = bool(gens) and isinstance(gens[0], ModuleElement)
@@ -785,7 +859,7 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     elif order is None:
         order = PositionOverTerm(ring.grevlex, shape.rank)
     cache = ring.basis_cache
-    key = (order.name, cap, shape, _generator_set(live))
+    key = (order.name, cap, shape, _minimal_from, _generator_set(live))
     entry = cache.get(key)
     if entry is not None:
         cache.move_to_end(key)
@@ -793,23 +867,28 @@ def groebner_basis(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerB
     if not all(z.is_homogeneous() for z in live):
         gb = buchberger(gens, order, cap)
     elif module:
-        gb = macaulay_module_gb(live, order, cap)
+        gb = macaulay_module_gb(live, order, cap, _minimal_from=_minimal_from)
     else:
         gb = macaulay_gb(live, order, cap)
-    _store_basis(gb, cap, live)
+    _store_basis(gb, cap, live, _minimal_from)
     return gb
 
 
-def _store_basis(gb: GroebnerBasis, cap: int, gens) -> None:
+def _store_basis(gb: GroebnerBasis, cap: int, gens, minimal_from: int = 0) -> None:
     """Cache gb under the generator set `gens` and under its own elements.
 
-    gens must generate the same ideal or submodule as gb.  The cache drops
-    its least recently used entries beyond BASIS_CACHE_SIZE.
+    gens must generate the same ideal or submodule as gb, and gb's marks must
+    be made for minimal_from.  A basis from Buchberger's algorithm has no
+    marks, so it is kept under its generators only: its elements may be
+    homogeneous, and a request that names them must reach the Macaulay
+    engine, which marks.  The cache drops its least recently used entries
+    beyond BASIS_CACHE_SIZE.
     """
     cache = gb.ring.basis_cache
     entry = _CacheEntry(gb)
-    for elements in (gens, gb.elements):
-        k = (gb.order.name, cap, gb.shape, _generator_set(elements))
+    named = (gens,) if gb.minimal is None else (gens, gb.elements)
+    for elements in named:
+        k = (gb.order.name, cap, gb.shape, minimal_from, _generator_set(elements))
         cache[k] = entry
         cache.move_to_end(k)
     while len(cache) > BASIS_CACHE_SIZE:
@@ -844,79 +923,6 @@ def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
 
 
 # ---------------------------------------------------------------------------
-# Graded pieces and minimal generators
-
-
-def module_monomials(ring: Ring, shape: FreeModuleShape, degree: int):
-    """Module monomials of the given degree: component asc, monomial desc."""
-    out: list[Term] = []
-    for comp in range(shape.rank):
-        d = degree - shape.twists[comp]
-        if d < 0:
-            continue
-        out.extend((comp, m) for m in ring.monomials_of_degree(d))
-    return out
-
-
-def graded_piece_rows(ring, shape, elements, degree):
-    """Rows spanning the degree-d slice of the span of the elements.
-
-    elements: iterable of (terms dict, module degree) pairs.  Returns
-    (matrix, columns) with columns the module monomials indexing the matrix.
-    """
-    cols = module_monomials(ring, shape, degree)
-    col = {t: i for i, t in enumerate(cols)}
-    rows = []
-    for terms, d in elements:
-        q = degree - d
-        if q < 0:
-            continue
-        for g in ring.monomials_of_degree(q):
-            row = np.zeros(len(cols), dtype=np.int64)
-            for (tc, tm), c in terms.items():
-                row[col[(tc, mono_mul(tm, g))]] = c
-            rows.append(row)
-    if rows:
-        mat = np.vstack(rows)
-    else:
-        mat = np.zeros((0, len(cols)), dtype=np.int64)
-    return mat, cols
-
-
-def minimal_module_generators(elements):
-    """Minimal generating subset of a list of homogeneous elements.
-
-    Degreewise: an element is redundant iff it lies in the span of the
-    monomial multiples of the lower-degree survivors and of the same-degree
-    survivors before it.  So the survivors of one degree are the pivot
-    columns of one `rref`: the transposed candidates, reduced modulo the
-    lower-degree span.  Input can be Polynomials (rank 1) or ModuleElements
-    over one shape.
-    """
-    elements = [z for z in elements if z]
-    if not elements:
-        return []
-    ring = elements[0].ring
-    if isinstance(elements[0], Polynomial):
-        shape = FreeModuleShape.plain(1)
-        triples = [(_poly_to_dict(f), f.homogeneous_degree(), f) for f in elements]
-    else:
-        shape = elements[0].shape
-        triples = [(dict(z.terms), z.module_degree(), z) for z in elements]
-    p = ring.p
-    triples.sort(key=lambda t: t[1])
-    kept: list[tuple[dict, int, object]] = []
-    for deg in sorted({d for _, d, _ in triples}):
-        cands = [t for t in triples if t[1] == deg]
-        # each candidate adds one row, after the lower-degree multiples
-        mat, _ = graded_piece_rows(ring, shape, [t[:2] for t in kept + cands], deg)
-        R, piv = linalg.rref(mat[: -len(cands)], p)
-        V = linalg.reduce_rows(R, piv, mat[-len(cands) :], p)
-        kept.extend(cands[i] for i in linalg.rref(V.T, p)[1])
-    return [obj for _, _, obj in kept]
-
-
-# ---------------------------------------------------------------------------
 # Syzygies
 
 
@@ -929,8 +935,11 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
     elements with no g part are the syzygies.  Position over term eliminates
     the components below k, so the reduced basis elements with no term there
     generate them.  `groebner_basis` computes that basis, with its engine
-    choice and cache; the cap bounds monomial degree.  Homogeneous output is
-    pruned to a minimal set and sorted; inhomogeneous output keeps basis order.
+    choice and cache; the cap bounds monomial degree.  For homogeneous input
+    the engine marks the basis elements that minimally generate the syzygies
+    (its marks count components k and later only), and they are returned
+    sorted.  Inhomogeneous input returns every syzygy basis element, in basis
+    order.
     """
     gens = list(gens)
     if not gens:
@@ -951,15 +960,19 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
         ModuleElement(ring, rows_shape, {**z.terms, (k + i, one): 1})
         for i, z in enumerate(gens)
     ]
-    gb = groebner_basis(rows, PositionOverTerm(ring.grevlex, k + m), cap)
+    order = PositionOverTerm(ring.grevlex, k + m)
+    gb = groebner_basis(rows, order, cap, _minimal_from=k)
+    marked = gb.minimal is not None
+    if marked:
+        found = gb.minimal_elements()
+    else:
+        found = [z for z in gb.elements if all(c >= k for c, _ in z.terms)]
     tshape = FreeModuleShape(m, twists)
     out = [
         ModuleElement(ring, tshape, {(c - k, t): v for (c, t), v in z.terms.items()})
-        for z in gb.elements
-        if all(c >= k for c, _ in z.terms)
+        for z in found
     ]
-    if out and all(z.is_homogeneous() for z in out):
-        out = minimal_module_generators(out)
+    if marked:
         key_order = PositionOverTerm(ring.grevlex, tshape.rank)
         out.sort(
             key=lambda z: (z.module_degree(), sorted(map(key_order.key, z.terms)))

@@ -29,7 +29,6 @@ from .groebner import (
     PositionOverTerm,
     _store_basis,
     groebner_basis,
-    minimal_module_generators,
     normal_form,
 )
 from .ring import Grevlex, Polynomial, Ring, grevlex_monomials
@@ -59,7 +58,7 @@ class Ideal:
     def gb(self, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
         order = order if order is not None else self.ring.grevlex
         if not self.gens:
-            return GroebnerBasis(self.ring, None, order, ())
+            return GroebnerBasis(self.ring, None, order, (), ())
         return groebner_basis(self.gens, order, cap)
 
     def contains(self, f: Polynomial) -> bool:
@@ -88,9 +87,11 @@ class Ideal:
         return all(g.is_homogeneous() for g in self.gens)
 
     def minimal_gens(self) -> list[Polynomial]:
+        """Minimal generators by degree: the elements of the reduced grevlex
+        basis that the Macaulay engine marked (GroebnerBasis.minimal)."""
         if not self.is_homogeneous():
             raise ValueError("minimal generators need homogeneous input")
-        return minimal_module_generators(list(self.gb().elements))
+        return self.gb().minimal_elements()
 
     def graded_dim(self, degree: int) -> int:
         """dim of the degree slice of the ideal itself."""

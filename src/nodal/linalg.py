@@ -1,32 +1,17 @@
 """Dense linear algebra over F_p on numpy int64 arrays.
 
 Entries live in [0, p) and every prime is below PRIME_LIMIT = 2^31, which
-keeps int64 arithmetic with a final reduction exact:
-
-- an elimination step in `rref` forms a - b*c with a, b, c in [0, p), so its
-  values lie in (-(p-1)^2, p), inside (-2^62, 2^31);
-- `reduce_rows` forms B - B[:, P] @ R, whose inner dimension k is the rank of
-  R.  R is reduced: column P[j] of R is the j-th unit vector, so column P[j]
-  of the result is B[:, P[j]] - B[:, P[j]] = 0 exactly.  Only the non-pivot
-  columns are therefore formed, B[:, F] - B[:, P] @ R[:, F], and the pivot
-  columns are set to zero; the product shrinks from rows*k*cols to
-  rows*k*(cols-k).  A dot product of length k reaches k*(p-1)^2, so the
-  product is taken in slices of at most (2^63 - p) // (p-1)^2 pivots.  Each
-  slice sum stays below 2^63 - p, and because R is zero in every other pivot
-  column, subtracting one slice leaves the pivot entries B[:, P] that the
-  next slice multiplies unchanged, so the slices can be subtracted one after
-  another with the original B[:, P].  At p = 32003 one slice holds about
-  9*10^9 pivots, so in practice there is a single product.
-
-`ring.Ring` refuses larger primes, so no caller reaches these routines with a
-modulus they would compute wrongly.
+keeps int64 arithmetic with a final reduction exact: an elimination step in
+`rref` or `reduce_mod_echelon` forms a - b*c with a, b, c in [0, p), so its
+values lie in (-(p-1)^2, p), inside (-2^62, 2^31), and is reduced mod p at
+once.  `ring.Ring` refuses larger primes, so no caller reaches these
+routines with a modulus they would compute wrongly.
 """
 from __future__ import annotations
 
 import numpy as np
 
 PRIME_LIMIT = 1 << 31
-_INT64_SPAN = 1 << 63
 
 
 def rref(A, p: int):
@@ -73,35 +58,14 @@ def rank(A, p: int) -> int:
     return len(rref(A, p)[1])
 
 
-def reduce_rows(R, pivots, B, p: int):
-    """Reduce each row of B modulo the span of the rref rows R.
-
-    Only the non-pivot columns are computed; the pivot columns of the result
-    are exactly zero (see the module docstring).
-    """
-    B = np.array(B, dtype=np.int64) % p
-    if len(pivots) and B.size:
-        free = np.ones(B.shape[1], dtype=bool)
-        free[pivots] = False
-        coeffs = B[:, pivots]
-        rest = B[:, free]
-        R_rest = R[:, free]
-        step = (_INT64_SPAN - p) // (p - 1) ** 2
-        for s in range(0, len(pivots), step):
-            rest = (rest - coeffs[:, s : s + step] @ R_rest[s : s + step]) % p
-        B[:, pivots] = 0
-        B[:, free] = rest
-    return B
-
-
 def reduce_mod_echelon(cols, vals, W, p: int):
     """Reduce the rows of W modulo the span of sparse echelon rows.
 
     Row i of the echelon rows has its terms in columns cols[i] with values
     vals[i], its unit pivot first, padded with the column W.shape[1] (a sink)
     and value 0; the pivots cols[:, 0] increase.  Returns the unique rows of
-    W + span that vanish in every pivot column, which is what `reduce_rows`
-    gives against the `rref` of the same rows.  Forward substitution on the
+    W + span that vanish in every pivot column, the same as reducing W
+    against the `rref` of the same rows.  Forward substitution on the
     transpose: the pivots are taken in increasing column order, and each
     clears its column by a rank-1 update of the later columns, so a pivot
     column is final when reached.  W holds residues and so does every update:

@@ -23,7 +23,7 @@ from .groebner import (
     DEFAULT_DEGREE_CAP,
     FreeModuleShape,
     ModuleElement,
-    minimal_module_generators,
+    groebner_basis,
     syzygy_generators,
 )
 from .ideals import Ideal
@@ -169,10 +169,11 @@ def resolve_presented(
     """Minimal free resolution of a module presented by explicit relations.
 
     The module is the free module twisted by gen_twists modulo the span of
-    the relation elements.  The relations are pruned to a minimal generating
-    set, but the presentation must be minimal in the graded sense: a relation
-    with a unit entry (a nonzero scalar in some component) would make a
-    generator redundant, and it is refused with ValueError.  Eliminate such a
+    the relation elements.  They are replaced by the elements of their reduced
+    basis that the engine marks as a minimal generating set, but the
+    presentation must be minimal in the graded sense: a relation with a unit
+    entry (a nonzero scalar in some component) would make a generator
+    redundant, and it is refused with ValueError.  Eliminate such a
     generator before presenting the module.  hf must supply the Hilbert
     function of the presented module; it is checked against the result.
     """
@@ -186,5 +187,5 @@ def resolve_presented(
             raise ValueError("resolutions need homogeneous input")
         if any(m == ring.zero_mono for _, m in z.terms):
             raise ValueError("relation has a unit entry: presentation not minimal")
-    rels = minimal_module_generators(relations)
+    rels = groebner_basis(relations, cap=cap).minimal_elements() if relations else []
     return _resolve(ring, gen_twists, rels, hf, cap)

@@ -6,10 +6,24 @@ defect in the Groebner machinery cannot vouch for itself.
 """
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import numpy as np
 
 from nodal import linalg
-from nodal.ring import Mono, Polynomial, Ring, mono_degree, mono_divides, mono_lcm
+from nodal.groebner import FreeModuleShape
+from nodal.ring import (
+    Mono,
+    Polynomial,
+    Ring,
+    mono_degree,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
+
+_INT64_SPAN = 1 << 63
 
 
 def naive_mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -113,6 +127,179 @@ def syzygy_dim(gens, degree: int) -> int:
         elements = [(z.components(), z.module_degree() or 0) for z in gens]
     source = sum(len(ring.monomials_of_degree(degree - d)) for _, d in elements)
     return source - module_span_rank(ring, elements, twists, degree)
+
+
+def reduce_rows(R, pivots, B, p: int):
+    """Reduce each row of B modulo the span of the rref rows R.
+
+    B - B[:, P] @ R has inner dimension k, the rank of R.  R is reduced:
+    column P[j] of R is the j-th unit vector, so column P[j] of the result is
+    B[:, P[j]] - B[:, P[j]] = 0 exactly.  Only the non-pivot columns are
+    therefore formed, B[:, F] - B[:, P] @ R[:, F], and the pivot columns are
+    set to zero.  A dot product of length k reaches k*(p-1)^2, so the product
+    is taken in slices of at most (2^63 - p) // (p-1)^2 pivots.  Each slice
+    sum stays below 2^63 - p, and because R is zero in every other pivot
+    column, subtracting one slice leaves the pivot entries B[:, P] that the
+    next slice multiplies unchanged, so the slices can be subtracted one
+    after another with the original B[:, P].  At p = 32003 one slice holds
+    about 9*10^9 pivots, so in practice there is a single product.
+    """
+    B = np.array(B, dtype=np.int64) % p
+    if len(pivots) and B.size:
+        free = np.ones(B.shape[1], dtype=bool)
+        free[pivots] = False
+        coeffs = B[:, pivots]
+        rest = B[:, free]
+        R_rest = R[:, free]
+        step = (_INT64_SPAN - p) // (p - 1) ** 2
+        for s in range(0, len(pivots), step):
+            rest = (rest - coeffs[:, s : s + step] @ R_rest[s : s + step]) % p
+        B[:, pivots] = 0
+        B[:, free] = rest
+    return B
+
+
+def koszul_betti(gens, jmax: int) -> dict:
+    """Graded Betti numbers of S/I up to degree jmax, by Koszul homology.
+
+    beta_{i,j}(S/I) = dim H_i(K(x_0, ..., x_{n-1}) tensor S/I)_j (D. Eisenbud,
+    The Geometry of Syzygies, GTM 229): K_i is the exterior power
+    wedge^i S^n (-i), so its degree-j piece over S/I is C(n, i) copies of
+    (S/I)_{j-i}.  The homology is that dimension minus the ranks of the two
+    Koszul maps at it, and each rank is read off the span matrix of I one
+    degree up (`degree_slice_matrix`).  gens are homogeneous Polynomials;
+    no Groebner basis is involved.  Returns the nonzero numbers as
+    {(i, j): beta}.
+    """
+    ring = gens[0].ring
+    n, p = ring.nvars, ring.p
+    slices = {}
+
+    def ideal_slice(d):
+        """(span matrix of I_d, the monomials of degree d, dim I_d)"""
+        if d not in slices:
+            mat, monos = degree_slice_matrix(gens, d)
+            slices[d] = (mat, monos, linalg.rank(mat, p))
+        return slices[d]
+
+    def quotient_dim_at(d):
+        if d < 0:
+            return 0
+        _, monos, rank = ideal_slice(d)
+        return len(monos) - rank
+
+    def koszul_rank(i, j):
+        """Rank of d_i: K_i -> K_{i-1} over S/I in degree j."""
+        if i < 1 or i > n or j - i < 0:
+            return 0
+        a = j - i  # source monomial degree; the target sits one degree up
+        target, tmonos, trank = ideal_slice(a + 1)
+        faces = {f: k for k, f in enumerate(combinations(range(n), i - 1))}
+        col = {m: k for k, m in enumerate(tmonos)}
+        width = len(tmonos)
+        rows = []
+        for subset in combinations(range(n), i):
+            for m in ring.monomials_of_degree(a):
+                row = np.zeros(len(faces) * width, dtype=np.int64)
+                for pos, v in enumerate(subset):
+                    face = subset[:pos] + subset[pos + 1 :]
+                    xm = m[:v] + (m[v] + 1,) + m[v + 1 :]
+                    row[faces[face] * width + col[xm]] = 1 if pos % 2 == 0 else p - 1
+                rows.append(row)
+        # I_{a+1} in every target summand, so the rank is taken modulo I
+        for k in range(len(faces)):
+            block = np.zeros((target.shape[0], len(faces) * width), dtype=np.int64)
+            block[:, k * width : (k + 1) * width] = target
+            rows.extend(block)
+        return linalg.rank(np.vstack(rows), p) - len(faces) * trank
+
+    out = {}
+    for j in range(jmax + 1):
+        for i in range(n + 1):
+            beta = (
+                comb(n, i) * quotient_dim_at(j - i)
+                - koszul_rank(i, j)
+                - koszul_rank(i + 1, j)
+            )
+            if beta:
+                out[(i, j)] = beta
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Minimal generators by a dense elimination of their own
+
+
+def module_monomials(ring: Ring, shape: FreeModuleShape, degree: int):
+    """Module monomials of the given degree: component asc, monomial desc."""
+    out = []
+    for comp in range(shape.rank):
+        d = degree - shape.twists[comp]
+        if d < 0:
+            continue
+        out.extend((comp, m) for m in ring.monomials_of_degree(d))
+    return out
+
+
+def graded_piece_rows(ring, shape, elements, degree):
+    """Rows spanning the degree-d slice of the span of the elements.
+
+    elements: iterable of (terms dict, module degree) pairs.  Returns
+    (matrix, columns) with columns the module monomials indexing the matrix.
+    """
+    cols = module_monomials(ring, shape, degree)
+    col = {t: i for i, t in enumerate(cols)}
+    rows = []
+    for terms, d in elements:
+        q = degree - d
+        if q < 0:
+            continue
+        for g in ring.monomials_of_degree(q):
+            row = np.zeros(len(cols), dtype=np.int64)
+            for (tc, tm), c in terms.items():
+                row[col[(tc, mono_mul(tm, g))]] = c
+            rows.append(row)
+    if rows:
+        mat = np.vstack(rows)
+    else:
+        mat = np.zeros((0, len(cols)), dtype=np.int64)
+    return mat, cols
+
+
+def minimal_module_generators(elements):
+    """Minimal generating subset of a list of homogeneous elements.
+
+    Degreewise: an element is redundant iff it lies in the span of the
+    monomial multiples of the lower-degree survivors and of the same-degree
+    survivors before it.  So the survivors of one degree are the pivot
+    columns of one `rref`: the transposed candidates, reduced modulo the
+    lower-degree span.  Input can be Polynomials (rank 1) or ModuleElements
+    over one shape.
+    """
+    elements = [z for z in elements if z]
+    if not elements:
+        return []
+    ring = elements[0].ring
+    if isinstance(elements[0], Polynomial):
+        shape = FreeModuleShape.plain(1)
+        triples = [
+            ({(0, m): c for m, c in f.terms.items()}, f.homogeneous_degree(), f)
+            for f in elements
+        ]
+    else:
+        shape = elements[0].shape
+        triples = [(dict(z.terms), z.module_degree(), z) for z in elements]
+    p = ring.p
+    triples.sort(key=lambda t: t[1])
+    kept = []
+    for deg in sorted({d for _, d, _ in triples}):
+        cands = [t for t in triples if t[1] == deg]
+        # each candidate adds one row, after the lower-degree multiples
+        mat, _ = graded_piece_rows(ring, shape, [t[:2] for t in kept + cands], deg)
+        R, piv = linalg.rref(mat[: -len(cands)], p)
+        V = reduce_rows(R, piv, mat[-len(cands) :], p)
+        kept.extend(cands[i] for i in linalg.rref(V.T, p)[1])
+    return [obj for _, _, obj in kept]
 
 
 # ---------------------------------------------------------------------------

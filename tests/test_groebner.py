@@ -2,6 +2,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,6 @@ from nodal import (
     buchberger,
     groebner_basis,
     macaulay_gb,
-    minimal_module_generators,
     normal_form,
     syzygy_generators,
 )
@@ -311,17 +311,9 @@ class TestSyzygyCompleteness:
 
 def assert_syzygies_match_buchberger(gens, cap):
     """syzygy_generators agrees with the same elimination run by Buchberger."""
-    if not isinstance(gens[0], ModuleElement):
-        gens = [ModuleElement.from_polynomials(FreeModuleShape.plain(1), [f]) for f in gens]
-    ring, shape = gens[0].ring, gens[0].shape
-    k, m = shape.rank, len(gens)
-    twists = shape.twists + tuple(z.module_degree() for z in gens)
-    one = (0,) * ring.nvars
-    rows = [
-        ModuleElement(ring, FreeModuleShape(k + m, twists), {**z.terms, (k + i, one): 1})
-        for i, z in enumerate(gens)
-    ]
-    gb = buchberger(rows, PositionOverTerm(ring.grevlex, k + m), cap)
+    rows, k = syzygy_rows(gens)
+    ring = rows[0].ring
+    gb = buchberger(rows, PositionOverTerm(ring.grevlex, k + len(rows)), cap)
     expected = [
         {(c - k, t): v for (c, t), v in z.terms.items()}
         for z in gb
@@ -494,20 +486,61 @@ class TestModuleBases:
         assert z.is_homogeneous()
 
 
+def element_degree(z):
+    return z.homogeneous_degree() if isinstance(z, Polynomial) else z.module_degree()
+
+
+def span_rank(elements, twists, degree):
+    if not elements:
+        return 0
+    ring = elements[0].ring
+    spans = [
+        ([z] if isinstance(z, Polynomial) else z.components(), element_degree(z))
+        for z in elements
+    ]
+    return oracles.module_span_rank(ring, spans, twists, degree)
+
+
+def assert_marks_match_reference(marked, pool, twists):
+    """The marked elements minimally generate what pool generates: per degree
+    as many as the dense pruning keeps, spanning the same module."""
+    reference = oracles.minimal_module_generators(pool)
+    assert Counter(map(element_degree, marked)) == Counter(
+        map(element_degree, reference)
+    )
+    for e in range(max(map(element_degree, pool)) + 3):
+        assert span_rank(marked, twists, e) == span_rank(pool, twists, e), e
+
+
+def syzygy_rows(gens):
+    """The rows (g_i | e_i) of syzygy_generators, and the component count k."""
+    if not isinstance(gens[0], ModuleElement):
+        gens = [ModuleElement.from_polynomials(FreeModuleShape.plain(1), [f]) for f in gens]
+    ring, shape = gens[0].ring, gens[0].shape
+    k, m = shape.rank, len(gens)
+    twists = shape.twists + tuple(z.module_degree() for z in gens)
+    one = (0,) * ring.nvars
+    rows = [
+        ModuleElement(ring, FreeModuleShape(k + m, twists), {**z.terms, (k + i, one): 1})
+        for i, z in enumerate(gens)
+    ]
+    return rows, k
+
+
 class TestMinimalGenerators:
+    """Minimal generators are the elements the Macaulay engine marks."""
+
     def test_drops_linear_combination(self, ring):
-        kept = minimal_module_generators(
-            [ring.parse("x0"), ring.parse("x1"), ring.parse("x0 + x1")]
-        )
+        kept = Ideal.parse(ring, ["x0", "x1", "x0 + x1"]).minimal_gens()
         assert len(kept) == 2
 
     def test_drops_multiple(self, ring):
-        kept = minimal_module_generators([ring.parse("x0^2"), ring.parse("x0")])
+        kept = Ideal.parse(ring, ["x0^2", "x0"]).minimal_gens()
         assert [str(f) for f in kept] == ["x0"]
 
     def test_keeps_independent(self, ring):
-        gens = [ring.parse("x0^2"), ring.parse("x1^2"), ring.parse("x2^2")]
-        assert len(minimal_module_generators(gens)) == 3
+        gens = ["x0^2", "x1^2", "x2^2"]
+        assert len(Ideal.parse(ring, gens).minimal_gens()) == 3
 
     def test_module_case(self, ring):
         shape = FreeModuleShape.plain(2)
@@ -516,8 +549,72 @@ class TestMinimalGenerators:
         c = ModuleElement.from_polynomials(
             shape, [ring.parse("x0*x2"), ring.parse("x1*x2")]
         )
-        kept = minimal_module_generators([a, b, c])
+        kept = groebner_basis([a, b, c]).minimal_elements()
         assert len(kept) == 2
+
+    def test_marks_match_dense_pruning(self, ring):
+        rng = random.Random(3141)
+        for _ in range(8):
+            gens = random_homogeneous_ideal(ring, rng, count=rng.randrange(2, 5))
+            # redundant generators: a multiple and a sum of multiples
+            a, b = gens[0], gens[1]
+            d = max(a.homogeneous_degree(), b.homogeneous_degree()) + 1
+            gens.append(ring.random_form(1, rng) * a)
+            gens.append(
+                ring.random_form(d - a.homogeneous_degree(), rng) * a
+                + ring.random_form(d - b.homogeneous_degree(), rng) * b
+            )
+            rng.shuffle(gens)
+            marked = Ideal(ring, gens).minimal_gens()
+            assert_marks_match_reference(marked, gens, (0,))
+            # the marks do not depend on the generator list
+            gb = groebner_basis(gens)
+            assert Ideal(ring, gb.elements).minimal_gens() == marked
+
+    def test_module_marks_match_dense_pruning(self, ring):
+        rng = random.Random(2718)
+        for _ in range(6):
+            gens = random_homogeneous_module(ring, rng, count=rng.randrange(2, 5))
+            x = ring.random_form(1, rng)
+            gens.append(ModuleElement.from_polynomials(
+                MODULE_SHAPE, [x * f for f in gens[0].components()]
+            ))
+            marked = groebner_basis(gens).minimal_elements()
+            assert_marks_match_reference(marked, gens, MODULE_SHAPE.twists)
+
+    def test_syzygy_marks_match_dense_pruning(self, ring):
+        rng = random.Random(1729)
+        cases = [random_homogeneous_ideal(ring, rng, count=4) for _ in range(4)]
+        cases += [random_homogeneous_module(ring, rng, count=4) for _ in range(2)]
+        cases.append(syzygy_generators(random_homogeneous_ideal(ring, rng)))
+        for gens in cases:
+            rows, k = syzygy_rows(gens)
+            # every syzygy basis element, from the other engine
+            basis = buchberger(rows, PositionOverTerm(ring.grevlex, len(rows) + k))
+            tshape = FreeModuleShape(len(rows), rows[0].shape.twists[k:])
+            pool = [
+                ModuleElement(ring, tshape, {(c - k, t): v for (c, t), v in z.terms.items()})
+                for z in basis
+                if all(c >= k for c, _ in z.terms)
+            ]
+            assert_marks_match_reference(syzygy_generators(gens), pool, tshape.twists)
+
+    def test_syzygy_marks_count_syzygy_pairs_only(self, ring):
+        # The Koszul syzygies of (x0, x1, x2) are S-pair combinations of the
+        # rows (x_i | e_i), so marks that counted every S-pair would mark no
+        # syzygy; the cache keeps the marks of each count apart.
+        rows, k = syzygy_rows(ring.gens())
+        order = PositionOverTerm(ring.grevlex, len(rows) + k)
+        for minimal_from in (k, 0, k):
+            gb = groebner_basis(rows, order, _minimal_from=minimal_from)
+            marked = gb.minimal_elements()
+            led_past_k = [all(c >= k for c, _ in z.terms) for z in marked]
+            degrees = [z.module_degree() for z in marked]
+            if minimal_from:
+                assert led_past_k == [True] * 3 and degrees == [2, 2, 2]
+            else:
+                assert led_past_k == [False] * 3 and degrees == [1, 1, 1]
+        assert len(syzygy_generators(ring.gens())) == 3
 
 
 class TestOrderAdapters:

@@ -496,7 +496,7 @@ def _reduced_projection_reference(gb, degree, W):
     route points_are_reduced took before forward substitution."""
     p = gb.ring.p
     R, pivots = linalg.rref(_slice_rows_reference(gb, degree), p)
-    return linalg.reduce_rows(R, pivots, W, p), pivots
+    return oracles.reduce_rows(R, pivots, W, p), pivots
 
 
 def _random_points_ideal(ring, rng, count):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from nodal import CurveSpec, InvariantViolation, Ring, validators
-from nodal.curves import parse_fixture
+from nodal.curves import conductor_nodal, jacobian_ideal, parse_fixture
 from nodal.groebner import FreeModuleShape, ModuleElement
 from nodal.ideals import (
     Ideal,
@@ -218,6 +218,40 @@ class TestQuotientModules:
         res = resolve_presented(ring, (0, 2), [], hf)
         assert res.twists == ((0, 2),)
         assert res.maps == ()
+
+
+def fixture_ideals(path):
+    """The ideals of one fixture at 32003 that the tables are checked on: a
+    curve's conductor and Jacobian ideal, or a plain fixture's ideal."""
+    fixture = parse_fixture(path.read_text(), prime=32003)
+    if fixture.curve is None:
+        return [fixture.ideal]
+    F = fixture.curve.total_form
+    return [conductor_nodal(F).conductor, jacobian_ideal(F)]
+
+
+class TestKoszulBetti:
+    """Each Betti number of a resolution, read again by Koszul homology."""
+
+    def test_oracle_on_known_tables(self, ring):
+        # three coordinate points, and the complete intersection of two conics
+        tri = Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"])
+        assert oracles.koszul_betti(list(tri.gens), 6) == {
+            (0, 0): 1, (1, 2): 3, (2, 3): 2,
+        }
+        ci = Ideal.parse(ring, ["x0^2 - x1*x2", "x1^2 - x0*x2"])
+        assert oracles.koszul_betti(list(ci.gens), 6) == {
+            (0, 0): 1, (1, 2): 2, (2, 4): 1,
+        }
+
+    @pytest.mark.parametrize(
+        "path", sorted(FIXTURES.glob("*.fix")), ids=lambda path: path.stem
+    )
+    def test_fixture_tables_match_koszul(self, path):
+        for ideal in fixture_ideals(path):
+            res = resolve_quotient(ideal)
+            jmax = res.max_twist() + 2
+            assert oracles.koszul_betti(list(ideal.gens), jmax) == res.betti()
 
 
 class TestMinimization:
