@@ -401,6 +401,14 @@ class GroebnerBasis:
         keyf = self.order.key
         return tuple(max(z.terms, key=keyf) for z in self.elements)
 
+    @cached_property
+    def hilbert_numerator(self) -> tuple:
+        """`ideals.hilbert_numerator` of the leads of an ideal's basis, found
+        once per basis object."""
+        from .ideals import hilbert_numerator
+
+        return hilbert_numerator(self._leads)
+
     def __len__(self):
         return len(self.elements)
 

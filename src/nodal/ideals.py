@@ -1,21 +1,27 @@
 """Ideal operations: sums, products, intersections, colons, saturation,
-codimension, and the reducedness certificate for point schemes.
+codimension, Hilbert series of monomial ideals, and the reducedness
+certificate for point schemes.
 
-Saturation by the irrelevant ideal is the workhorse of the conductor
-pipelines, so it avoids colon iterations entirely: in a graded reverse
-lexicographic order whose cheapest variable is x, a homogeneous basis element
-is divisible by x exactly when its lead is, so dividing x out of a reduced
-basis realises the colon by x to all orders at once.  An element lies in the
-irrelevant saturation exactly when every variable separately multiplies it
-into the ideal at some power, so the saturation is the intersection of those
-single-variable colons, one cheap basis each.
+Saturation by the irrelevant ideal m is the workhorse of the conductor
+pipelines, so it avoids colon iterations.  In a graded reverse lexicographic
+order whose cheapest variable is x, a homogeneous element is divisible by x
+exactly when its lead is, so dividing x out of the reduced basis of I gives a
+Groebner basis of J = I : x^∞ in the same order, whose leads are the old
+leads with their x-powers divided out (Bayer-Stillman).  J is saturated and
+contains the saturation of I, and it equals it exactly when S/J and S/I have
+the same Hilbert polynomial, which `hilbert_numerator` reads off those two
+lead sets.  That holds unless an associated point of the saturation lies on
+x = 0, so one variable usually settles it; only when every variable fails is
+the saturation the intersection of the single-variable colons.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, zip_longest
+from operator import le
 
 import numpy as np
 
@@ -39,14 +45,18 @@ class Ideal:
 
     Its reduced bases live in the ring's basis cache (see
     groebner.groebner_basis), so ideals named by the same generators share
-    them.
+    them.  The object also keeps each basis it has looked up, per order name
+    and cap, so later calls skip building the cache key and find the basis's
+    leads and Hilbert numerator already computed.  The ring's cache never
+    points at an Ideal, so this makes no reference cycle.
     """
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_bases")
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
+        self._bases = {}
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator over a different ring")
@@ -57,9 +67,15 @@ class Ideal:
 
     def gb(self, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
         order = order if order is not None else self.ring.grevlex
-        if not self.gens:
-            return GroebnerBasis(self.ring, None, order, (), ())
-        return groebner_basis(self.gens, order, cap)
+        key = (order.name, cap)
+        gb = self._bases.get(key)
+        if gb is None:
+            if self.gens:
+                gb = groebner_basis(self.gens, order, cap)
+            else:
+                gb = GroebnerBasis(self.ring, None, order, (), ())
+            self._bases[key] = gb
+        return gb
 
     def contains(self, f: Polynomial) -> bool:
         if not f:
@@ -99,13 +115,16 @@ class Ideal:
         return total - self.quotient_dim(degree)
 
     def quotient_dim(self, degree: int) -> int:
-        """dim of the degree slice of ring/ideal: count standard monomials."""
+        """dim of the degree slice of ring/ideal: the coefficient of t^degree
+        in N(t)/(1-t)^n, N the Hilbert numerator of its grevlex leads."""
         if degree < 0:
             return 0
-        exps = _degree_exponents(self.ring.nvars, degree)
-        if not self.gens:
-            return len(exps)
-        return int(np.count_nonzero(_lead_map(self.gb().lead_monomials(), exps) < 0))
+        n = self.ring.nvars
+        numerator = self.gb().hilbert_numerator
+        return sum(
+            c * math.comb(degree - k + n - 1, n - 1)
+            for k, c in enumerate(numerator[: degree + 1])
+        )
 
     def graded_basis(self, degree: int, cap: int = DEFAULT_DEGREE_CAP):
         """Vector-space basis of the degree slice, in reduced echelon form."""
@@ -138,8 +157,12 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
+    """Products of generator pairs; a square forms each unordered pair once."""
     if a.is_zero() or b.is_zero():
         return Ideal(a.ring, ())
+    if a is b:
+        pairs = combinations_with_replacement(a.gens, 2)
+        return Ideal(a.ring, [f * g for f, g in pairs])
     return Ideal(a.ring, [f * g for f in a.gens for g in b.gens])
 
 
@@ -212,6 +235,84 @@ def quotient(a: Ideal, b, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
+# Hilbert series of monomial ideals
+
+
+def _minimal_monomials(monos) -> list[tuple]:
+    """The minimal generators of the monomial ideal the exponent tuples
+    generate, by ascending degree."""
+    kept = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(map(le, k, m)) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _numerator(gens: list[tuple]) -> list[int]:
+    """Bigatti's pivot recursion on a minimal generating set.
+
+    For a pivot p, 0 -> S/(M : p)(-deg p) -> S/M -> S/(M + p) -> 0 is exact,
+    so N(M) = N(M + p) + t^deg(p) N(M : p).  The pivot is x_j^e, x_j the
+    variable in most generators that are not pure powers and e the median of
+    its positive exponents there.  M + p drops every generator x_j^e divides
+    and stays minimal, so it has fewer mixed generators; M : p lowers the
+    exponent sum.  Once every generator is a pure power of its own variable,
+    N is the product of the 1 - t^deg.
+    """
+    if not gens:
+        return [1]
+    if not any(gens[0]):
+        return []  # the unit ideal, which minimality leaves alone
+    mixed = [m for m in gens if len(m) - m.count(0) > 1]
+    if not mixed:
+        out = [1]
+        for m in gens:
+            d = sum(m)
+            nxt = out + [0] * d
+            for k, c in enumerate(out):
+                nxt[k + d] -= c
+            out = nxt
+        return out
+    n = len(gens[0])
+    j = max(range(n), key=lambda v: sum(1 for m in mixed if m[v]))
+    exps = sorted(m[j] for m in mixed if m[j])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if v == j else 0 for v in range(n))
+    out = _numerator([m for m in gens if m[j] < e] + [pivot])
+    colon = _minimal_monomials(m[:j] + (max(m[j] - e, 0),) + m[j + 1 :] for m in gens)
+    tail = _numerator(colon)
+    out += [0] * max(0, len(tail) + e - len(out))
+    for k, c in enumerate(tail):
+        out[k + e] += c
+    return out
+
+
+def hilbert_numerator(leads) -> tuple[int, ...]:
+    """N(t) with HS(S/M) = N(t)/(1-t)^n, M generated by the exponent tuples
+    `leads` in n variables, as exact integer coefficients from t^0 up with no
+    trailing zeros: () for the unit ideal, (1,) for no generators.
+
+    For a Groebner basis of I the leads give HS(S/I) itself, since S/I and
+    S/in(I) share a monomial basis (Macaulay).  Two quotients have the same
+    Hilbert polynomial exactly when (1-t)^n divides the difference of their
+    numerators (`_same_hilbert_polynomial`).
+    """
+    out = _numerator(_minimal_monomials(leads))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _same_hilbert_polynomial(a, b, n: int) -> bool:
+    """Whether numerators a and b over n variables give one Hilbert
+    polynomial: the derivatives of a - b of every order k < n vanish at 1."""
+    diff = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    return all(
+        sum(c * math.perm(j, k) for j, c in enumerate(diff)) == 0 for k in range(n)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Saturation
 
 
@@ -241,39 +342,66 @@ def _divide_out(gb: GroebnerBasis, var: int) -> tuple[list[Polynomial], bool]:
     return stripped, changed
 
 
-def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """Saturation with respect to (x_0, ..., x_{n-1}) by basis divide-out.
+def _holding(gb: GroebnerBasis, cap: int) -> Ideal:
+    """The ideal of a reduced basis, keeping that basis."""
+    ideal = Ideal(gb.ring, gb.elements)
+    ideal._bases[(gb.order.name, cap)] = gb
+    return ideal
 
-    Requires homogeneous input.  The result is the intersection over the
-    variables of the single-variable colons a : x_i^∞, each a one-pass
-    divide-out of a reduced basis ordered with x_i cheapest.  Iterating
-    single-variable colons instead would saturate by the product of the
-    variables, a different and generally much larger ideal.  If some variable
-    strips nothing then a is stable under that colon and already saturated;
-    it is returned as its grevlex basis, under which the rotated bases
-    computed so far are cached too, so saturating it again computes none.
+
+def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+    """Saturation with respect to m = (x_0, ..., x_{n-1}) by basis divide-out.
+
+    Requires homogeneous input.  For each variable x_i in turn, the reduced
+    basis of I ordered with x_i cheapest is divided by x_i wherever it can
+    be, which realises J = I : x_i^∞ in one pass (see the module docstring).
+    - If nothing divides out, I = J is stable under the colon by x_i, so it
+      is already saturated.  It is returned with its grevlex basis, under
+      which the rotated bases computed so far are cached too, so saturating
+      it again computes none.
+    - Otherwise J is saturated: x_i is a nonzerodivisor on S/J.  J contains
+      I^sat, since f m^k in I puts f x_i^k in I.  I^sat/I has finite
+      length, so if S/J and S/I have the same Hilbert polynomial then so do
+      S/J and S/I^sat, and J/I^sat has finite length too: m^k J lies in
+      I^sat for some k, and J = I^sat because I^sat is saturated.  Both
+      polynomials come from leads in hand, the rotated basis's and those
+      divided by their x_i-powers, so on equality J's grevlex basis is
+      returned.
+    - When every variable fails, some associated point of I^sat lies on
+      each hyperplane x_i = 0, and the saturation is the intersection of the
+      colons J, each taken from its own divide-out.
+    Iterating single-variable colons instead would saturate by the product
+    of the variables, a different and generally much larger ideal.  Reduced
+    bases are unique, so every branch returns the same basis.
     """
     ring = a.ring
     if a.is_zero():
         return a
     if not a.is_homogeneous():
         raise ValueError("divide-out saturation needs homogeneous input")
+    n = ring.nvars
     rotated = []
     parts = []
-    for var in range(ring.nvars):
-        gb = a.gb(_rotated_grevlex(ring.nvars, var), cap)
+    for var in range(n):
+        gb = a.gb(_rotated_grevlex(n, var), cap)
         rotated.append(gb)
         stripped, changed = _divide_out(gb, var)
         if not changed:
-            basis = a.gb(cap=cap).elements
+            basis = a.gb(cap=cap)
             for gb in rotated:
-                _store_basis(gb, cap, basis)
-            return Ideal(ring, basis)
-        parts.append(Ideal(ring, stripped))
+                _store_basis(gb, cap, basis.elements)
+            return _holding(basis, cap)
+        colon = Ideal(ring, stripped)
+        leads = [m[:var] + (0,) + m[var + 1 :] for m in gb.lead_monomials()]
+        if _same_hilbert_polynomial(
+            hilbert_numerator(leads), gb.hilbert_numerator, n
+        ):
+            return _holding(colon.gb(cap=cap), cap)
+        parts.append(colon)
     meet = parts[0]
     for part in parts[1:]:
         meet = intersect(meet, part, cap)
-    return Ideal(ring, meet.gb(cap=cap).elements)
+    return _holding(meet.gb(cap=cap), cap)
 
 
 def saturate(a: Ideal, b: Ideal | None = None, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
@@ -392,18 +520,6 @@ def _degree_exponents(n: int, degree: int) -> np.ndarray:
     return exps
 
 
-def _lead_map(leads, exps) -> np.ndarray:
-    """Index of the first lead dividing each exponent row, or -1 for none.
-
-    leads lists the basis leads in basis order; exps is an exponent matrix
-    such as `_degree_exponents` returns.  One broadcast compares every row
-    against every lead.
-    """
-    lead_exps = np.array(leads, dtype=np.int64).reshape(len(leads), exps.shape[1])
-    divides = (exps[:, None, :] >= lead_exps[None, :, :]).all(axis=2)
-    return np.where(divides.any(axis=1), divides.argmax(axis=1), -1)
-
-
 def _degree_slice(gb: GroebnerBasis, degree: int):
     """Echelon rows spanning the degree slice of the ideal of a grevlex basis.
 
@@ -425,9 +541,12 @@ def _degree_slice(gb: GroebnerBasis, degree: int):
     n = ring.nvars
     exps = _degree_exponents(n, degree)
     leads = gb.lead_monomials()
-    first = _lead_map(leads, exps)
-    hits = np.nonzero(first >= 0)[0]
-    owner = first[hits]
+    # one broadcast compares every monomial against every lead; a row's
+    # owner is the first lead dividing it
+    lead_exps = np.array(leads, dtype=np.int64).reshape(len(leads), n)
+    divides = (exps[:, None, :] >= lead_exps[None, :, :]).all(axis=2)
+    hits = np.nonzero(divides.any(axis=1))[0]
+    owner = divides[hits].argmax(axis=1)
     used = sorted(set(owner.tolist()))
     terms = {j: gb.elements[j].sorted_terms(ring.grevlex) for j in used}
     width = max((len(t) for t in terms.values()), default=1)

@@ -1,16 +1,25 @@
 """Ideal operations against set-arithmetic and evaluation oracles."""
 import random
+from math import comb
 
 import numpy as np
 import pytest
 
-from nodal import InvariantViolation, Ring, determinantal_points, groebner, linalg
+from nodal import (
+    InvariantViolation,
+    Ring,
+    determinantal_points,
+    groebner,
+    ideals,
+    linalg,
+)
 from nodal.ideals import (
     Ideal,
     _degree_slice,
     _projection_rows,
     codimension,
     curve_is_squarefree,
+    hilbert_numerator,
     ideal_product,
     ideal_sum,
     intersect,
@@ -123,6 +132,35 @@ class TestBasicOps:
             for e in range(8):
                 ideal.quotient_dim(e)
         assert len(calls) == len(gb)
+
+    def test_second_gb_builds_no_cache_key(self, ring, monkeypatch):
+        ideal = Ideal(ring, [ring.random_form(d, random.Random(d)) for d in (2, 3)])
+        first = ideal.gb()
+        keys = []
+        build = groebner._generator_set
+
+        def counted(elements):
+            keys.append(elements)
+            return build(elements)
+
+        monkeypatch.setattr(groebner, "_generator_set", counted)
+        assert ideal.gb() is first
+        assert keys == []
+        # another order keys another basis, kept beside the first
+        lex = ideal.gb(Lex(3))
+        assert keys
+        keys.clear()
+        assert ideal.gb(Lex(3)) is lex and ideal.gb() is first
+        assert keys == []
+
+    def test_square_forms_each_pair_once(self, ring):
+        a = Ideal.parse(ring, ["x0^2 + x1*x2", "x1^2", "x0*x2 - x2^2"])
+        square = ideal_product(a, a)
+        assert len(square.gens) == 6
+        every_pair = [f * g for f in a.gens for g in a.gens]
+        assert groebner._generator_set(square.gens) == groebner._generator_set(
+            every_pair
+        )
 
     def test_graded_dims_vanish_in_negative_degrees(self, ring):
         for r in (ring, Ring("x")):
@@ -341,6 +379,88 @@ class TestSaturation:
         again = saturate(sat)
         assert runs == []
         assert again.same_ideal(meet)
+
+    @staticmethod
+    def _count_routes(monkeypatch):
+        divided, meets = [], []
+        divide, meet = ideals._divide_out, ideals.intersect
+
+        def dividing(gb, var):
+            divided.append(var)
+            return divide(gb, var)
+
+        def meeting(*args, **kwargs):
+            meets.append(args)
+            return meet(*args, **kwargs)
+
+        monkeypatch.setattr(ideals, "_divide_out", dividing)
+        monkeypatch.setattr(ideals, "intersect", meeting)
+        return divided, meets
+
+    def _points_with_junk(self, ring, pts):
+        meet = None
+        for pt in pts:
+            cur = point_ideal(ring, pt)
+            meet = cur if meet is None else intersect(meet, cur)
+        return meet, ideal_product(meet, irrelevant_ideal(ring))
+
+    def test_point_on_one_line_settles_at_the_next_variable(self, ring, monkeypatch):
+        # the colon by x0 loses the point on x0 = 0, so the Hilbert
+        # polynomial drops; the colon by x1 keeps it and is the saturation
+        pts, junk = self._points_with_junk(ring, [(1, 2, 3), (1, 5, 7), (0, 1, 2)])
+        divided, meets = self._count_routes(monkeypatch)
+        sat = saturate(junk)
+        assert divided == [0, 1]
+        assert meets == []
+        assert sat.same_ideal(pts)
+
+    def test_points_on_every_line_fall_back(self, ring, monkeypatch):
+        pts, junk = self._points_with_junk(ring, [(0, 1, 2), (1, 0, 3), (1, 4, 0)])
+        divided, meets = self._count_routes(monkeypatch)
+        sat = saturate(junk)
+        assert divided == [0, 1, 2]
+        assert len(meets) == 2
+        assert sat.same_ideal(pts)
+
+
+class TestHilbertNumerator:
+    @staticmethod
+    def _series(numerator, n, degree):
+        return sum(
+            c * comb(degree - k + n - 1, n - 1)
+            for k, c in enumerate(numerator[: degree + 1])
+        )
+
+    def test_matches_brute_force_counts(self):
+        rng = random.Random(23)
+        cases = [
+            (3, []),
+            (3, [(0, 0, 0)]),
+            (3, [(0, 0, 0), (1, 2, 0)]),
+            (3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+            (2, [(3, 0), (0, 2), (5, 0)]),
+            (1, [(4,)]),
+        ]
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            gens = [
+                tuple(rng.randrange(4) for _ in range(n))
+                for _ in range(rng.randrange(1, 7))
+            ]
+            cases.append((n, gens))
+        for n, gens in cases:
+            numerator = hilbert_numerator(gens)
+            assert not numerator or numerator[-1] != 0
+            # N has degree at most that of the lcm of the generators
+            for e in range(3 * n + 3):
+                want = oracles.mono_quotient_dim(gens, n, e)
+                assert self._series(numerator, n, e) == want, (gens, e)
+
+    def test_known_values(self):
+        assert hilbert_numerator([]) == (1,)
+        assert hilbert_numerator([(0, 0, 0)]) == ()
+        # (1 - t^2)(1 - t^3), and a redundant generator changes nothing
+        assert hilbert_numerator([(2, 0), (0, 3), (2, 1)]) == (1, 0, -1, -1, 0, 1)
 
 
 class TestCodimension:
