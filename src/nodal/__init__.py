@@ -31,7 +31,6 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     PositionOverTerm,
-    buchberger,
     groebner_basis,
     macaulay_gb,
     normal_form,

@@ -346,8 +346,6 @@ def _cmd_corpus(args) -> int:
                 )
             reports.append(rep)
             ok = ok and rep.ok
-        # no later fixture uses this one's bases
-        fx.ring.basis_cache.clear()
         results.append((path.name, reports))
     lines = []
     width = max(len(name) for name, _ in results)

@@ -1,21 +1,21 @@
 """Groebner bases for ideals and submodules of twisted free modules.
 
-`groebner_basis` picks one of two engines, and both queue S-pairs through one
-pair update with the Gebauer-Moeller criteria (`_new_pairs`).  Homogeneous
-input, ideals and submodules alike, goes to a degreewise Macaulay-matrix
-elimination shaped like F4: each degree's matrix splits into reducer rows,
-one per term a basis lead divides and already in echelon form, and the rest,
+Every basis comes from one engine on packed terms: a degreewise Macaulay
+elimination shaped like F4 that queues S-pairs with the Gebauer-Moeller
+criteria (`_new_pairs`).  Each degree's matrix splits into reducer rows, one
+per term a basis lead divides and already in echelon form, and the rest,
 which are reduced against them by forward substitution before only they go
-through `linalg.rref`.  The engine works on terms packed into ints and yields
-the reduced basis directly, with no interreduction pass.  Inhomogeneous input
-goes to Buchberger's algorithm and a final interreduction.  Syzygies are read
-off the basis of the rows (g_i | e_i), through the same dispatch and cache.
+through `linalg.rref`.  Homogeneous input, ideals and submodules alike,
+yields the reduced basis with no interreduction pass; inhomogeneous input
+is homogenized with one more variable h, run the same way, set to h = 1 and
+interreduced (`_homogenized_gb`).  Syzygies are read off the basis of the
+rows (g_i | e_i), through the same dispatch and cache.
 
-Minimal generators come out of the same Macaulay run, with no elimination of
-their own: in each degree the engine marks the new basis elements whose leads
-the S-pair rows of that degree do not reach, and the basis carries the marks
-(`GroebnerBasis.minimal`).  `Ideal.minimal_gens`, `syzygy_generators` and
-`resolution.resolve_presented` read them.
+Minimal generators of homogeneous input come out of the same Macaulay run,
+with no elimination of their own: in each degree the engine marks the new
+basis elements whose leads the S-pair rows of that degree do not reach, and
+the basis carries the marks (`GroebnerBasis.minimal`).  `Ideal.minimal_gens`,
+`syzygy_generators` and `resolution.resolve_presented` read them.
 
 Terms of a module element are keyed (component, monomial) and compared through
 integer keys, see ring.py.  Component twists record generator degrees, so the
@@ -205,12 +205,12 @@ class ModuleElement:
     __repr__ = __str__
 
 
-def _check_module_gens(gens):
-    shape = gens[0].shape
-    ring = gens[0].ring
+def _check_gens(gens):
+    """Generators lie over one ring and, for a module, in one shape."""
+    ring, shape = gens[0].ring, getattr(gens[0], "shape", None)
     for z in gens:
-        if z.shape != shape or z.ring != ring:
-            raise RingMismatchError("module generators disagree on shape")
+        if z.ring != ring or getattr(z, "shape", None) != shape:
+            raise RingMismatchError("generators disagree on ring or shape")
 
 
 def _poly_to_dict(f: Polynomial) -> dict:
@@ -222,16 +222,15 @@ def _dict_to_poly(ring: Ring, d: dict) -> Polynomial:
 
 
 class _Gel:
-    """Engine-internal basis element: monic, lead split off the tail."""
+    """Basis element for reduction: monic, lead split off the tail."""
 
-    __slots__ = ("lead", "key", "tail", "full", "top")
+    __slots__ = ("lead", "key", "tail", "full")
 
-    def __init__(self, lead, key, tail, full, top):
+    def __init__(self, lead, key, tail, full):
         self.lead = lead
         self.key = key
         self.tail = tail  # tuple of (term, coeff), lead excluded
         self.full = full  # dict including the lead
-        self.top = top  # largest total degree of a term
 
 
 def _make_gel(ring: Ring, d: dict, keyf) -> _Gel:
@@ -241,8 +240,7 @@ def _make_gel(ring: Ring, d: dict, keyf) -> _Gel:
         inv = pow(lc, -1, ring.p)
         d = {t: c * inv % ring.p for t, c in d.items()}
     tail = tuple((t, c) for t, c in d.items() if t != lead)
-    top = max(mono_degree(m) for _, m in d)
-    return _Gel(lead, keyf(lead), tail, d, top)
+    return _Gel(lead, keyf(lead), tail, d)
 
 
 def _normal_form_dict(work_in, gels_by_comp, keyf, p, cap):
@@ -286,19 +284,6 @@ def _normal_form_dict(work_in, gels_by_comp, keyf, p, cap):
                 else:
                     del work[nt]
     return rem
-
-
-def _shift_dict(d: dict, q: Mono) -> dict:
-    return {(c, mono_mul(m, q)): v for (c, m), v in d.items()}
-
-
-def _sub_into(acc: dict, d: dict, p: int):
-    for t, v in d.items():
-        nv = (acc.get(t, 0) - v) % p
-        if nv:
-            acc[t] = nv
-        else:
-            acc.pop(t, None)
 
 
 def _new_pairs(leads, lead, coprime_skip):
@@ -369,7 +354,7 @@ class GroebnerBasis:
     minimal indexes, by degree and then by position, the elements the
     Macaulay engine marked: a minimal generating set of the ideal or module,
     or for syzygy rows of the syzygies (see `syzygy_generators`).  It is None
-    for a basis from Buchberger's algorithm, which marks nothing.
+    for a basis of inhomogeneous input, which is unmarked (`_homogenized_gb`).
     """
 
     ring: Ring
@@ -463,10 +448,11 @@ def _resolve_order(ring: Ring, order) -> MonomialOrder:
     return order
 
 
-def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip, minimal_from):
+def _macaulay_engine(p, n, twists, inputs, keyf, cap, coprime_skip, minimal_from):
     """Homogeneous basis completion by degreewise row reduction.
 
-    inputs: (terms dict keyed by (component, monomial), module degree) pairs.
+    n: exponent fields per monomial.  inputs: (terms dict keyed by
+    (component, monomial), module degree) pairs.
     Each outstanding degree e assembles a matrix from the S-pair multiples
     and the inputs of degree e, then closes it under reduction symbolically:
     every occurring term that a basis lead divides gets exactly one echelon
@@ -533,8 +519,6 @@ def _macaulay_engine(ring, twists, inputs, keyf, cap, coprime_skip, minimal_from
     share one tuple per term.
     """
     check_degree_cap(cap)
-    p = ring.p
-    n = ring.nvars
     # A packed term is the big-endian int of the component as 64 bits and
     # then n exponent fields of 16 bits, so a shift is an add.
     layout = struct.Struct(f">Q{n}H")
@@ -690,17 +674,15 @@ def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasi
     gens = [f for f in gens if f]
     if not gens:
         raise ValueError("need at least one nonzero generator")
+    _check_gens(gens)
     ring = gens[0].ring
     order = _resolve_order(ring, order)
-    for f in gens:
-        if f.ring != ring:
-            raise RingMismatchError("generators over different rings")
-
     keyf = RingOrderAdapter(order).key
     # homogeneous_degree raises ValueError on inhomogeneous input
     inputs = [(_poly_to_dict(f), f.homogeneous_degree()) for f in gens]
     basis, minimal = _macaulay_engine(
-        ring, (0,), inputs, keyf, cap, coprime_skip=True, minimal_from=0
+        ring.p, ring.nvars, (0,), inputs, keyf, cap,
+        coprime_skip=True, minimal_from=0,
     )
     elements = tuple(_dict_to_poly(ring, terms) for terms in basis)
     return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements, minimal)
@@ -717,7 +699,7 @@ def macaulay_module_gb(
     gens = [z for z in gens if z]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    _check_module_gens(gens)
+    _check_gens(gens)
     if not all(z.is_homogeneous() for z in gens):
         raise ValueError("macaulay_module_gb needs homogeneous input")
     ring = gens[0].ring
@@ -727,97 +709,11 @@ def macaulay_module_gb(
 
     inputs = [(z.terms, z.module_degree()) for z in gens]
     basis, minimal = _macaulay_engine(
-        ring, shape.twists, inputs, order.key, cap,
+        ring.p, ring.nvars, shape.twists, inputs, order.key, cap,
         coprime_skip=False, minimal_from=_minimal_from,
     )
     elements = tuple(ModuleElement(ring, shape, terms) for terms in basis)
     return GroebnerBasis(ring, shape, order, elements, minimal)
-
-
-def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Reduced basis by Buchberger's algorithm, for ideals and submodules.
-
-    Zero generators are skipped; the run basis is interreduced at the end.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    module = isinstance(gens[0], ModuleElement)
-    if module:
-        _check_module_gens(gens)
-        shape = gens[0].shape
-        if order is None:
-            order = PositionOverTerm(ring.grevlex, shape.rank)
-        keyf = order.key
-        dicts = [dict(z.terms) for z in gens]
-    else:
-        order = _resolve_order(ring, order)
-        for f in gens:
-            if f.ring != ring:
-                raise RingMismatchError("generators over different rings")
-        shape = FreeModuleShape.plain(1)
-        keyf = RingOrderAdapter(order).key
-        dicts = [_poly_to_dict(f) for f in gens]
-    check_degree_cap(cap)
-    p = ring.p
-    gels: list[_Gel] = []
-    by_comp: dict[int, list[_Gel]] = {}
-    alive: dict[tuple[int, int], Mono] = {}
-    heap: list[tuple[int, int, int]] = []
-
-    def insert(d):
-        g = _make_gel(ring, d, keyf)
-        t = len(gels)
-        new = _new_pairs([h.lead for h in gels], g.lead, not module)
-        # Criterion B: prune queued pairs strictly covered by the new lead.
-        lm = g.lead[1]
-        for (i, j), lcm in list(alive.items()):
-            if gels[i].lead[0] != g.lead[0]:
-                continue
-            if not mono_divides(lm, lcm):
-                continue
-            if mono_lcm(gels[i].lead[1], lm) == lcm:
-                continue
-            if mono_lcm(gels[j].lead[1], lm) == lcm:
-                continue
-            del alive[(i, j)]
-        for i, lcm in new:
-            alive[(i, t)] = lcm
-            heapq.heappush(heap, (mono_degree(lcm), i, t))
-        gels.append(g)
-        by_comp.setdefault(g.lead[0], []).append(g)
-
-    for d in dicts:
-        if d:
-            insert(d)
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if alive.pop((i, j), None) is None:
-            continue
-        gi, gj = gels[i], gels[j]
-        lcm = mono_lcm(gi.lead[1], gj.lead[1])
-        qi = mono_div(lcm, gi.lead[1])
-        qj = mono_div(lcm, gj.lead[1])
-        # The lcm's degree under a degree-compatible order; under lex a tail
-        # can outgrow its lead, and its shift must stay inside the cap too.
-        deg = max(gi.top + mono_degree(qi), gj.top + mono_degree(qj))
-        if deg > cap:
-            raise DegreeCapExceeded(
-                f"S-pair degree {deg} passed the cap {cap}", cap=cap
-            )
-        s = _shift_dict(gi.full, qi)
-        _sub_into(s, _shift_dict(gj.full, qj), p)
-        rem = _normal_form_dict(s, by_comp, keyf, p, cap)
-        if rem:
-            insert(rem)
-    gels = _interreduce(ring, gels, keyf, cap)
-    if module:
-        elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
-    else:
-        elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
-    return GroebnerBasis(ring, shape, order, elements)
 
 
 def _sorted_terms(z) -> tuple:
@@ -837,14 +733,60 @@ def _generator_set(elements) -> frozenset:
     return frozenset(_sorted_terms(z) for z in elements if z)
 
 
+def _homogenized_gb(gens, order, cap) -> GroebnerBasis:
+    """Reduced basis of inhomogeneous input through the Macaulay engine.
+
+    Each element is homogenized to its top module degree with a new last
+    variable h, and the engine runs on n + 1 exponent fields under >_h:
+    degree first, then the given order on the h-free part, a monomial order
+    for every order given, lex included.  The lead of a homogeneous g under
+    >_h is the lead of g at h = 1 times a power of h, and for f in the input's
+    span some h^k f^h lies in the homogenized span, so the basis at h = 1 is
+    a Groebner basis (Bayer-Stillman, Invent. Math. 87, 1987; Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 8 §4).  No two terms of one
+    component of a homogeneous element share an h-free part, so h = 1 merges
+    no terms; interreduction gives the reduced basis.  Marks would be those of
+    the homogenized input, so the run makes none and the basis carries none.
+    """
+    _check_gens(gens)
+    ring = gens[0].ring
+    module = isinstance(gens[0], ModuleElement)
+    shape = gens[0].shape if module else FreeModuleShape.plain(1)
+    keyf = order.key if module else RingOrderAdapter(order).key
+    degree = shape.term_degree
+    inputs = []
+    for z in gens:
+        d = z.terms if module else _poly_to_dict(z)
+        top = max(map(degree, d))
+        h = {(c, m + (top - degree((c, m)),)): v for (c, m), v in d.items()}
+        inputs.append((h, top))
+    basis, _ = _macaulay_engine(
+        ring.p, ring.nvars + 1, shape.twists, inputs,
+        lambda t: keyf((t[0], t[1][:-1])), cap,
+        coprime_skip=not module, minimal_from=shape.rank,
+    )
+    gels = [
+        _make_gel(ring, {(c, m[:-1]): v for (c, m), v in d.items()}, keyf)
+        for d in basis
+    ]
+    gels = _interreduce(ring, gels, keyf, cap)
+    if module:
+        elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
+    else:
+        elements = tuple(_dict_to_poly(ring, g.full) for g in gels)
+    return GroebnerBasis(ring, shape, order, elements)
+
+
 def groebner_basis(
     gens, order=None, cap: int = DEFAULT_DEGREE_CAP, *, _minimal_from: int = 0
 ) -> GroebnerBasis:
-    """Reduced Groebner basis; the one place that picks the engine.
+    """Reduced Groebner basis, for ideals and submodules, by the Macaulay engine.
 
     Homogeneous input goes to `macaulay_gb` (ideals) or `macaulay_module_gb`
-    (submodules), anything else to `buchberger`.  _minimal_from is for
-    `syzygy_generators` alone and passes to `macaulay_module_gb`.
+    (submodules); anything else is homogenized into the same engine
+    (`_homogenized_gb`).  Zero generators are skipped, and input of zeros
+    alone has the empty basis.  _minimal_from is for `syzygy_generators`
+    alone and passes to `macaulay_module_gb`.
 
     Each ring caches the bases computed over it, keyed by the order's name,
     the cap, the module shape (rank one for polynomials), _minimal_from,
@@ -856,16 +798,19 @@ def groebner_basis(
     (`_CacheEntry`), so a dropped ring is freed at once.
     """
     gens = list(gens)
-    module = bool(gens) and isinstance(gens[0], ModuleElement)
-    live = [z for z in gens if z]
-    if not live:
-        return buchberger(gens, order, cap)
-    ring = live[0].ring
-    shape = live[0].shape if module else FreeModuleShape.plain(1)
+    if not gens:
+        raise ValueError("need at least one generator")
+    ring = gens[0].ring
+    module = isinstance(gens[0], ModuleElement)
+    shape = gens[0].shape if module else FreeModuleShape.plain(1)
     if not module:
         order = _resolve_order(ring, order)
     elif order is None:
         order = PositionOverTerm(ring.grevlex, shape.rank)
+    live = [z for z in gens if z]
+    if not live:
+        check_degree_cap(cap)
+        return GroebnerBasis(ring, shape, order, ())
     cache = ring.basis_cache
     key = (order.name, cap, shape, _minimal_from, _generator_set(live))
     entry = cache.get(key)
@@ -873,7 +818,7 @@ def groebner_basis(
         cache.move_to_end(key)
         return entry.basis()
     if not all(z.is_homogeneous() for z in live):
-        gb = buchberger(gens, order, cap)
+        gb = _homogenized_gb(live, order, cap)
     elif module:
         gb = macaulay_module_gb(live, order, cap, _minimal_from=_minimal_from)
     else:
@@ -886,11 +831,10 @@ def _store_basis(gb: GroebnerBasis, cap: int, gens, minimal_from: int = 0) -> No
     """Cache gb under the generator set `gens` and under its own elements.
 
     gens must generate the same ideal or submodule as gb, and gb's marks must
-    be made for minimal_from.  A basis from Buchberger's algorithm has no
-    marks, so it is kept under its generators only: its elements may be
-    homogeneous, and a request that names them must reach the Macaulay
-    engine, which marks.  The cache drops its least recently used entries
-    beyond BASIS_CACHE_SIZE.
+    be made for minimal_from.  A basis of inhomogeneous input has no marks,
+    so it is kept under its generators only: its elements may be
+    homogeneous, and a request that names them must get a marked basis.  The
+    cache drops its least recently used entries beyond BASIS_CACHE_SIZE.
     """
     cache = gb.ring.basis_cache
     entry = _CacheEntry(gb)
@@ -942,12 +886,11 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
     e_i in component k + i twisted by deg g_i, span {(sum a_i g_i | a)}, whose
     elements with no g part are the syzygies.  Position over term eliminates
     the components below k, so the reduced basis elements with no term there
-    generate them.  `groebner_basis` computes that basis, with its engine
-    choice and cache; the cap bounds monomial degree.  For homogeneous input
-    the engine marks the basis elements that minimally generate the syzygies
-    (its marks count components k and later only), and they are returned
-    sorted.  Inhomogeneous input returns every syzygy basis element, in basis
-    order.
+    generate them.  `groebner_basis` computes that basis, with its cache; the
+    cap bounds monomial degree.  For homogeneous input the engine marks the
+    basis elements that minimally generate the syzygies (its marks count
+    components k and later only), and they are returned sorted.  Unmarked,
+    inhomogeneous input returns every syzygy basis element, in basis order.
     """
     gens = list(gens)
     if not gens:
@@ -955,7 +898,7 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
     if isinstance(gens[0], Polynomial):
         plain = FreeModuleShape.plain(1)
         gens = [ModuleElement.from_polynomials(plain, [f]) for f in gens]
-    _check_module_gens(gens)
+    _check_gens(gens)
     ring = gens[0].ring
     shape = gens[0].shape
     k, m = shape.rank, len(gens)

@@ -180,7 +180,7 @@ def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     most expensive, basis elements led in the second component carry no
     first-component part at all, so the axis slice falls straight out.  This
     holds for any global order, so inhomogeneous pairs take the same route
-    (groebner_basis hands them to Buchberger).
+    (groebner_basis homogenizes them for its engine).
     """
     if a.ring != b.ring:
         raise InvariantViolation("intersection across different rings")
@@ -204,7 +204,7 @@ def quotient_by_poly(a: Ideal, f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> 
     coordinate axis exactly in a : f: an element (h f + sum c_g g, h) has
     zero first coordinate exactly when h f lies in a.  The second component
     is twisted by deg f when f is homogeneous, so homogeneous input stays
-    homogeneous; otherwise groebner_basis hands the rows to Buchberger.
+    homogeneous; otherwise groebner_basis homogenizes the rows for its engine.
     """
     ring = a.ring
     if not f:

@@ -1,23 +1,43 @@
 """Reference implementations the tests trust instead of the engines.
 
-Everything here reduces to dense linear algebra on spans of the original
-generators, set arithmetic on monomial ideals, or pointwise evaluation, so a
-defect in the Groebner machinery cannot vouch for itself.
+Nearly everything here reduces to dense linear algebra on spans of the
+original generators, set arithmetic on monomial ideals, or pointwise
+evaluation, so a defect in the Groebner machinery cannot vouch for itself.
+The one piece of Groebner machinery is `buchberger`, a reference basis by
+Buchberger's pair loop on term dicts.  It shares the pair criteria
+(`_new_pairs`), division and interreduction with `nodal.groebner`, but none
+of the Macaulay engine: no packed terms, no symbolic preprocessing, no
+matrices.
 """
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from nodal import linalg
-from nodal.groebner import FreeModuleShape
+from nodal.errors import DegreeCapExceeded
+from nodal.groebner import (
+    DEFAULT_DEGREE_CAP,
+    FreeModuleShape,
+    GroebnerBasis,
+    ModuleElement,
+    PositionOverTerm,
+    RingOrderAdapter,
+    _interreduce,
+    _make_gel,
+    _new_pairs,
+    _normal_form_dict,
+)
 from nodal.ring import (
     Mono,
     Polynomial,
     Ring,
+    check_degree_cap,
     mono_degree,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -166,34 +186,36 @@ def koszul_betti(gens, jmax: int) -> dict:
     The Geometry of Syzygies, GTM 229): K_i is the exterior power
     wedge^i S^n (-i), so its degree-j piece over S/I is C(n, i) copies of
     (S/I)_{j-i}.  The homology is that dimension minus the ranks of the two
-    Koszul maps at it, and each rank is read off the span matrix of I one
-    degree up (`degree_slice_matrix`).  gens are homogeneous Polynomials;
-    no Groebner basis is involved.  Returns the nonzero numbers as
-    {(i, j): beta}.
+    Koszul maps at it.  Each map is written on the quotient one degree up:
+    one `rref` of the span matrix of I_{a+1} (`degree_slice_matrix`) per
+    degree, each target summand's block of the map reduced modulo it, and
+    the non-pivot columns kept, which index a basis of (S/I)_{a+1}.  gens
+    are homogeneous Polynomials; no Groebner basis is involved.  Returns the
+    nonzero numbers as {(i, j): beta}.
     """
     ring = gens[0].ring
     n, p = ring.nvars, ring.p
     slices = {}
 
     def ideal_slice(d):
-        """(span matrix of I_d, the monomials of degree d, dim I_d)"""
+        """(rref rows of I_d, their pivot columns, the monomials of degree d)"""
         if d not in slices:
             mat, monos = degree_slice_matrix(gens, d)
-            slices[d] = (mat, monos, linalg.rank(mat, p))
+            slices[d] = (*linalg.rref(mat, p), monos)
         return slices[d]
 
     def quotient_dim_at(d):
         if d < 0:
             return 0
-        _, monos, rank = ideal_slice(d)
-        return len(monos) - rank
+        _, piv, monos = ideal_slice(d)
+        return len(monos) - len(piv)
 
     def koszul_rank(i, j):
         """Rank of d_i: K_i -> K_{i-1} over S/I in degree j."""
         if i < 1 or i > n or j - i < 0:
             return 0
         a = j - i  # source monomial degree; the target sits one degree up
-        target, tmonos, trank = ideal_slice(a + 1)
+        R, piv, tmonos = ideal_slice(a + 1)
         faces = {f: k for k, f in enumerate(combinations(range(n), i - 1))}
         col = {m: k for k, m in enumerate(tmonos)}
         width = len(tmonos)
@@ -206,12 +228,15 @@ def koszul_betti(gens, jmax: int) -> dict:
                     xm = m[:v] + (m[v] + 1,) + m[v + 1 :]
                     row[faces[face] * width + col[xm]] = 1 if pos % 2 == 0 else p - 1
                 rows.append(row)
-        # I_{a+1} in every target summand, so the rank is taken modulo I
-        for k in range(len(faces)):
-            block = np.zeros((target.shape[0], len(faces) * width), dtype=np.int64)
-            block[:, k * width : (k + 1) * width] = target
-            rows.extend(block)
-        return linalg.rank(np.vstack(rows), p) - len(faces) * trank
+        rows = np.vstack(rows)
+        # each target summand modulo I_{a+1}, on the quotient's basis columns
+        free = np.ones(width, dtype=bool)
+        free[piv] = False
+        blocks = [
+            reduce_rows(R, piv, rows[:, k * width : (k + 1) * width], p)[:, free]
+            for k in range(len(faces))
+        ]
+        return linalg.rank(np.hstack(blocks), p)
 
     out = {}
     for j in range(jmax + 1):
@@ -224,6 +249,113 @@ def koszul_betti(gens, jmax: int) -> dict:
             if beta:
                 out[(i, j)] = beta
     return out
+
+
+# ---------------------------------------------------------------------------
+# Groebner bases by Buchberger's algorithm
+
+
+def _shift_dict(d: dict, q: Mono) -> dict:
+    return {(c, mono_mul(m, q)): v for (c, m), v in d.items()}
+
+
+def _sub_into(acc: dict, d: dict, p: int):
+    for t, v in d.items():
+        nv = (acc.get(t, 0) - v) % p
+        if nv:
+            acc[t] = nv
+        else:
+            acc.pop(t, None)
+
+
+def buchberger(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+    """Reduced basis by Buchberger's algorithm, for ideals and submodules.
+
+    Homogeneous or not, under any order the ring's orders or
+    `PositionOverTerm` give.  Zero generators are skipped; the run basis is
+    interreduced at the end.  Pairs are queued by the degree of their lcm
+    and pruned by the Gebauer-Moeller criteria and criterion B.
+    """
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    ring = gens[0].ring
+    module = isinstance(gens[0], ModuleElement)
+    if module:
+        shape = gens[0].shape
+        if order is None:
+            order = PositionOverTerm(ring.grevlex, shape.rank)
+        keyf = order.key
+        dicts = [dict(z.terms) for z in gens]
+    else:
+        if order is None:
+            order = ring.grevlex
+        shape = FreeModuleShape.plain(1)
+        keyf = RingOrderAdapter(order).key
+        dicts = [{(0, m): c for m, c in f.terms.items()} for f in gens]
+    check_degree_cap(cap)
+    p = ring.p
+    gels = []
+    tops: list[int] = []  # largest total degree of a term, per element
+    by_comp: dict = {}
+    alive: dict[tuple[int, int], Mono] = {}
+    heap: list[tuple[int, int, int]] = []
+
+    def insert(d):
+        g = _make_gel(ring, d, keyf)
+        t = len(gels)
+        new = _new_pairs([h.lead for h in gels], g.lead, not module)
+        # Criterion B: prune queued pairs strictly covered by the new lead.
+        lm = g.lead[1]
+        for (i, j), lcm in list(alive.items()):
+            if gels[i].lead[0] != g.lead[0]:
+                continue
+            if not mono_divides(lm, lcm):
+                continue
+            if mono_lcm(gels[i].lead[1], lm) == lcm:
+                continue
+            if mono_lcm(gels[j].lead[1], lm) == lcm:
+                continue
+            del alive[(i, j)]
+        for i, lcm in new:
+            alive[(i, t)] = lcm
+            heapq.heappush(heap, (mono_degree(lcm), i, t))
+        gels.append(g)
+        tops.append(max(mono_degree(m) for _, m in g.full))
+        by_comp.setdefault(g.lead[0], []).append(g)
+
+    for d in dicts:
+        if d:
+            insert(d)
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if alive.pop((i, j), None) is None:
+            continue
+        gi, gj = gels[i], gels[j]
+        lcm = mono_lcm(gi.lead[1], gj.lead[1])
+        qi = mono_div(lcm, gi.lead[1])
+        qj = mono_div(lcm, gj.lead[1])
+        # The lcm's degree under a degree-compatible order; under lex a tail
+        # can outgrow its lead, and its shift must stay inside the cap too.
+        deg = max(tops[i] + mono_degree(qi), tops[j] + mono_degree(qj))
+        if deg > cap:
+            raise DegreeCapExceeded(
+                f"S-pair degree {deg} passed the cap {cap}", cap=cap
+            )
+        s = _shift_dict(gi.full, qi)
+        _sub_into(s, _shift_dict(gj.full, qj), p)
+        rem = _normal_form_dict(s, by_comp, keyf, p, cap)
+        if rem:
+            insert(rem)
+    gels = _interreduce(ring, gels, keyf, cap)
+    if module:
+        elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
+    else:
+        elements = tuple(
+            Polynomial(ring, {m: c for (_, m), c in g.full.items()}) for g in gels
+        )
+    return GroebnerBasis(ring, shape, order, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end command line tests driving main() directly."""
+import gc
 import hashlib
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -221,23 +223,27 @@ class TestCorpus:
         assert main(["corpus", str(tmp_path), "--json"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_fixture_caches_emptied(self, tmp_path, monkeypatch):
-        # a cached basis points back at its ring; the corpus drops each
-        # fixture's cache when done so the ring is freed without a full
-        # cyclic collection
+    def test_fixture_rings_freed(self, tmp_path, monkeypatch):
+        # a ring's basis cache holds nothing that points back at the ring,
+        # so every fixture's ring is freed with no cyclic collection
         shutil.copy(FIXTURES / "two-lines.fix", tmp_path)
         shutil.copy(FIXTURES / "triangle-points.fix", tmp_path)
         rings = []
 
         def capture(path, prime, _load=cli._load_fixture):
             fx = _load(path, prime)
-            rings.append(fx.ring)
+            rings.append(weakref.ref(fx.ring))
             return fx
 
         monkeypatch.setattr(cli, "_load_fixture", capture)
-        assert main(["corpus", str(tmp_path)]) == 0
-        assert len(rings) == 2
-        assert all(not r.basis_cache for r in rings)
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["corpus", str(tmp_path)]) == 0
+            assert len(rings) == 2
+            assert all(r() is None for r in rings)
+        finally:
+            gc.enable()
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2

@@ -18,7 +18,6 @@ from nodal import (
     PositionOverTerm,
     Ring,
     RingMismatchError,
-    buchberger,
     groebner_basis,
     macaulay_gb,
     normal_form,
@@ -37,6 +36,15 @@ def ring():
 
 def random_homogeneous_ideal(ring, rng, count=3, maxdeg=3):
     return [ring.random_form(rng.randrange(1, maxdeg + 1), rng) for _ in range(count)]
+
+
+def random_inhomogeneous(ring, rng, maxdeg, count=3):
+    """A sum of up to count random terms of degree at most maxdeg."""
+    terms = {}
+    for _ in range(count):
+        m = rng.choice(ring.monomials_of_degree(rng.randrange(maxdeg + 1)))
+        terms[m] = rng.randrange(1, ring.p)
+    return ring.poly(terms)
 
 
 MODULE_SHAPE = FreeModuleShape(2, (0, 1))
@@ -60,9 +68,10 @@ class TestKnownBases:
     def test_classic_inhomogeneous(self):
         # Cox-Little-O'Shea style warhorse in two variables
         r = Ring("x,y")
-        gb = buchberger([r.parse("x^3 - 2*x*y"), r.parse("x^2*y - 2*y^2 + x")])
-        leads = {g.lead_monomial(gb.order) for g in gb.elements}
-        assert leads == {(2, 0), (1, 1), (0, 2)}
+        gens = [r.parse("x^3 - 2*x*y"), r.parse("x^2*y - 2*y^2 + x")]
+        for gb in (groebner_basis(gens), oracles.buchberger(gens)):
+            leads = {g.lead_monomial(gb.order) for g in gb.elements}
+            assert leads == {(2, 0), (1, 1), (0, 2)}
 
     def test_saturated_triangle_style(self, ring):
         gb = groebner_basis([ring.parse("x0^2"), ring.parse("x0*x1 + x1^2")])
@@ -78,13 +87,19 @@ class TestKnownBases:
         assert list(gb.elements) == [ring.one()]
 
     def test_zero_generators_dropped(self, ring):
-        gb = buchberger([ring.zero(), ring.parse("x0")])
-        assert list(gb.elements) == [ring.parse("x0")]
+        for engine in (groebner_basis, oracles.buchberger):
+            gb = engine([ring.zero(), ring.parse("x0")])
+            assert list(gb.elements) == [ring.parse("x0")]
+            gb = engine([ring.zero(), ring.parse("x0 + 1")])
+            assert list(gb.elements) == [ring.parse("x0 + 1")]
 
     def test_all_zero_input(self, ring):
-        gb = buchberger([ring.zero()])
-        assert len(gb) == 0
-        assert normal_form(ring.parse("x1"), gb) == ring.parse("x1")
+        for engine in (groebner_basis, oracles.buchberger):
+            gb = engine([ring.zero()])
+            assert len(gb) == 0
+            assert normal_form(ring.parse("x1"), gb) == ring.parse("x1")
+            with pytest.raises(ValueError):
+                engine([])
 
 
 class TestEngineAgreement:
@@ -93,7 +108,7 @@ class TestEngineAgreement:
         for _ in range(15):
             gens = random_homogeneous_ideal(ring, rng)
             a = macaulay_gb(gens)
-            b = buchberger(gens)
+            b = oracles.buchberger(gens)
             assert list(a.elements) == list(b.elements)
 
     def test_engines_agree_lex(self, ring):
@@ -102,7 +117,7 @@ class TestEngineAgreement:
         for _ in range(5):
             gens = random_homogeneous_ideal(ring, rng, count=2)
             a = macaulay_gb(gens, order=order)
-            b = buchberger(gens, order=order)
+            b = oracles.buchberger(gens, order=order)
             assert list(a.elements) == list(b.elements)
 
     def test_module_engines_agree(self, ring):
@@ -122,7 +137,7 @@ class TestEngineAgreement:
         ])
         for gens in cases:
             a = macaulay_module_gb(gens)
-            b = buchberger(gens)
+            b = oracles.buchberger(gens)
             assert list(a.elements) == list(b.elements)
 
     def test_gb_is_sound_random(self, ring):
@@ -154,7 +169,8 @@ AGREEMENT_PRIMES = [7, 32003, 2**31 - 1]
 
 
 class TestPackedEngineAgreement:
-    """The Macaulay engine works on packed terms; Buchberger works on tuples."""
+    """The Macaulay engine works on packed terms; the reference Buchberger
+    (`oracles.buchberger`) works on tuples."""
 
     @pytest.mark.parametrize("p", AGREEMENT_PRIMES)
     def test_random_ideals(self, p):
@@ -162,7 +178,8 @@ class TestPackedEngineAgreement:
         rng = random.Random(p)
         for _ in range(6):
             gens = random_homogeneous_ideal(ring, rng, count=rng.randrange(2, 5))
-            assert list(macaulay_gb(gens).elements) == list(buchberger(gens).elements)
+            want = oracles.buchberger(gens).elements
+            assert list(macaulay_gb(gens).elements) == list(want)
 
     @pytest.mark.parametrize("p", AGREEMENT_PRIMES)
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -177,7 +194,31 @@ class TestPackedEngineAgreement:
                 comps = [ring.random_form(d - t, rng) for t in shape.twists]
                 gens.append(ModuleElement.from_polynomials(shape, comps))
             a = macaulay_module_gb(gens)
-            assert list(a.elements) == list(buchberger(gens).elements)
+            assert list(a.elements) == list(oracles.buchberger(gens).elements)
+
+    @pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+    @pytest.mark.parametrize(
+        "order", [None, Grevlex(3, (1, 2, 0)), Lex(3)], ids=["grevlex", "rotated", "lex"]
+    )
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_random_inhomogeneous(self, p, order, rank):
+        # homogenized into the Macaulay engine, against the pair loop run on
+        # the input itself; rank 2 is twisted (0, 1)
+        ring = Ring("x0,x1,x2", p=p)
+        rng = random.Random(f"{p}:{rank}:{order and order.name}")
+        if rank == 2:
+            order = PositionOverTerm(order or ring.grevlex, 2)
+        for _ in range(5):
+            gens = []
+            for _ in range(rng.randrange(2, 4)):
+                if rank == 1:
+                    gens.append(random_inhomogeneous(ring, rng, 3))
+                else:
+                    comps = [random_inhomogeneous(ring, rng, 2, 2) for _ in range(2)]
+                    gens.append(ModuleElement.from_polynomials(MODULE_SHAPE, comps))
+            gb = groebner_basis(gens, order)
+            assert gb.minimal is None
+            assert list(gb.elements) == list(oracles.buchberger(gens, order).elements)
 
     def test_exponents_at_the_cap(self):
         # x^255 walks down a chain of 127 reducer rows to y^255, so exponent
@@ -185,17 +226,18 @@ class TestPackedEngineAgreement:
         r = Ring("x,y", p=32003)
         f1 = r.parse("x^2 + 3*x*y - y^2")
         top = r.parse("x^255")
-        f2 = top - normal_form(top, buchberger([f1], cap=255), cap=255)
+        f2 = top - normal_form(top, oracles.buchberger([f1], cap=255), cap=255)
         f2 = f2 + r.parse("y^255")
         assert max(max(m) for m in f2.terms) == 255
         gb = macaulay_gb([f1, f2], cap=255)
-        assert list(gb.elements) == list(buchberger([f1, f2], cap=255).elements)
+        assert list(gb.elements) == list(oracles.buchberger([f1, f2], cap=255).elements)
         assert list(gb.elements) == [f1, r.parse("y^255")]
 
 
 def assert_interreduction_is_identity(gb):
     """The Macaulay engine's output is already reduced: interreducing it, as
-    Buchberger's output is, returns it unchanged and in the same order."""
+    a basis of inhomogeneous input is, returns it unchanged and in the same
+    order."""
     keyf = gb.term_key()
     dicts = [dict(z.terms) for z in gb.elements]
     if gb.rank1:
@@ -310,10 +352,11 @@ class TestSyzygyCompleteness:
 
 
 def assert_syzygies_match_buchberger(gens, cap):
-    """syzygy_generators agrees with the same elimination run by Buchberger."""
+    """syzygy_generators agrees with the same elimination run by the
+    reference Buchberger."""
     rows, k = syzygy_rows(gens)
     ring = rows[0].ring
-    gb = buchberger(rows, PositionOverTerm(ring.grevlex, k + len(rows)), cap)
+    gb = oracles.buchberger(rows, PositionOverTerm(ring.grevlex, k + len(rows)), cap)
     expected = [
         {(c - k, t): v for (c, t), v in z.terms.items()}
         for z in gb
@@ -332,14 +375,16 @@ class TestDegreeCap:
         with pytest.raises(DegreeCapExceeded):
             groebner_basis(gens, cap=3)
         with pytest.raises(DegreeCapExceeded):
-            buchberger(gens, cap=3)
+            oracles.buchberger(gens, cap=3)
 
     def test_cap_past_exponent_limit_refused(self, ring):
         gens = [ring.parse("x0 - x1 - x2")]
         with pytest.raises(ExponentLimitError):
             groebner_basis(gens, cap=256)
         with pytest.raises(ExponentLimitError):
-            buchberger(gens, cap=256)
+            groebner_basis(gens + [ring.parse("x0 + 1")], cap=256)
+        with pytest.raises(ExponentLimitError):
+            oracles.buchberger(gens, cap=256)
         with pytest.raises(ExponentLimitError):
             syzygy_generators(gens, cap=256)
         with pytest.raises(ExponentLimitError):
@@ -362,10 +407,13 @@ class TestDegreeCap:
 
     def test_lex_tail_past_cap_raises(self, ring):
         # the S-pair lcm x0*x1^100 has degree 101, but shifting the lex tail
-        # x1^200 by x1^100 builds x1^300, past what an order key can hold
+        # x1^200 by x1^100 builds x1^300, past what an order key can hold;
+        # homogenized, the lcm x0*x1^100*h^199 itself has degree 300
         gens = [ring.parse("x0 - x1^200"), ring.parse("x0*x1^100 - 1")]
         with pytest.raises(DegreeCapExceeded):
-            buchberger(gens, order=Lex(3), cap=255)
+            groebner_basis(gens, order=Lex(3), cap=255)
+        with pytest.raises(DegreeCapExceeded):
+            oracles.buchberger(gens, order=Lex(3), cap=255)
 
     def test_cap_bounds_monomial_degree_in_twisted_modules(self, ring):
         # module degrees reach 32 here, but no monomial passes degree 2
@@ -373,7 +421,7 @@ class TestDegreeCap:
         x0, x1, _ = ring.gens()
         gens = [ModuleElement.from_polynomials(shape, [f]) for f in (x0, x1)]
         gb = groebner_basis(gens, cap=5)
-        assert list(gb.elements) == list(buchberger(gens, cap=5).elements)
+        assert list(gb.elements) == list(oracles.buchberger(gens, cap=5).elements)
         syz = ModuleElement.from_polynomials(FreeModuleShape(2, (31, 31)), [x1, -x0])
         assert syzygy_generators(gens, cap=5) == [syz]
         assert_syzygies_match_buchberger(gens, 5)
@@ -393,7 +441,7 @@ class TestDegreeCap:
         # coprime leads: both engines finish without touching degree 6
         gens = [ring.parse("x0^3 - x1^2*x2"), ring.parse("x1^3 - x0*x2^2")]
         assert len(groebner_basis(gens, cap=3)) == 2
-        assert len(buchberger(gens, cap=3)) == 2
+        assert len(oracles.buchberger(gens, cap=3)) == 2
 
 
 class TestSyzygies:
@@ -589,8 +637,8 @@ class TestMinimalGenerators:
         cases.append(syzygy_generators(random_homogeneous_ideal(ring, rng)))
         for gens in cases:
             rows, k = syzygy_rows(gens)
-            # every syzygy basis element, from the other engine
-            basis = buchberger(rows, PositionOverTerm(ring.grevlex, len(rows) + k))
+            # every syzygy basis element, from the reference Buchberger
+            basis = oracles.buchberger(rows, PositionOverTerm(ring.grevlex, len(rows) + k))
             tshape = FreeModuleShape(len(rows), rows[0].shape.twists[k:])
             pool = [
                 ModuleElement(ring, tshape, {(c - k, t): v for (c, t), v in z.terms.items()})
@@ -631,31 +679,33 @@ class TestOrderAdapters:
 
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """Names of the engines groebner_basis runs, in call order."""
+    """(rank, exponent fields) of each Macaulay engine run, in call order."""
     runs = []
-    for name in ("macaulay_gb", "macaulay_module_gb", "buchberger"):
-        def counted(*args, _fn=getattr(groebner, name), _name=name, **kwargs):
-            runs.append(_name)
-            return _fn(*args, **kwargs)
+    engine = groebner._macaulay_engine
 
-        monkeypatch.setattr(groebner, name, counted)
+    def counted(p, n, twists, *args, **kwargs):
+        runs.append((len(twists), n))
+        return engine(p, n, twists, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_macaulay_engine", counted)
     return runs
 
 
 def test_dispatch_by_homogeneity(ring, engine_runs):
-    # homogeneous input goes to the Macaulay engines, anything else to
-    # Buchberger, for ideals and modules alike
+    # every input reaches the Macaulay engine, for ideals and modules alike;
+    # inhomogeneous input does so homogenized, with one more exponent field
     shape = FreeModuleShape.plain(2)
     x0, x1, x2 = ring.gens()
     cases = [
-        ([x0 * x1, x1 * x2], "macaulay_gb"),
-        ([x0 * x1 + x2, x1 * x2], "buchberger"),
-        ([ModuleElement.from_polynomials(shape, [x0, x1])], "macaulay_module_gb"),
-        ([ModuleElement.from_polynomials(shape, [x0, x1 * x2])], "buchberger"),
+        ([x0 * x1, x1 * x2], (1, 3)),
+        ([x0 * x1 + x2, x1 * x2], (1, 4)),
+        ([ModuleElement.from_polynomials(shape, [x0, x1])], (2, 3)),
+        ([ModuleElement.from_polynomials(shape, [x0, x1 * x2])], (2, 4)),
     ]
-    for gens, engine in cases:
-        groebner_basis(gens)
-        assert engine_runs[-1] == engine
+    for gens, run in cases:
+        gb = groebner_basis(gens)
+        assert engine_runs[-1] == run
+        assert (gb.minimal is None) == (run[1] == 4)
     assert len(engine_runs) == len(cases)
 
 
@@ -664,9 +714,11 @@ def test_syzygies_dispatch_and_cache(ring, engine_runs):
     gens = [ring.parse("x0^2"), ring.parse("x0*x1"), ring.parse("x1^2 - x2^2")]
     first = syzygy_generators(gens)
     assert syzygy_generators(gens) == first
-    assert engine_runs == ["macaulay_module_gb"]
-    syzygy_generators([ring.parse("x0^2 + x1"), ring.parse("x1*x2")])
-    assert engine_runs[-1] == "buchberger"
+    assert engine_runs == [(4, 3)]
+    inhomogeneous = [ring.parse("x0^2 + x1"), ring.parse("x1*x2")]
+    first = syzygy_generators(inhomogeneous)
+    assert syzygy_generators(inhomogeneous) == first
+    assert engine_runs == [(4, 3), (3, 4)]
 
 
 CACHE_GENS = ("x0^2 + 2*x1*x2", "x0*x1 + 3*x2^2", "x1^3 - x0*x2^2")
@@ -679,12 +731,12 @@ class TestBasisCache:
         gb = Ideal.parse(ring, CACHE_GENS).gb()
         again = Ideal.parse(ring, CACHE_GENS[::-1]).gb(Grevlex(3, (0, 1, 2)))
         assert again is gb
-        assert engine_runs == ["macaulay_gb"]
+        assert engine_runs == [(1, 3)]
 
     def test_reduced_basis_is_a_key(self, ring, engine_runs):
         gb = Ideal.parse(ring, CACHE_GENS).gb()
         assert Ideal(ring, gb.elements).gb() is gb
-        assert engine_runs == ["macaulay_gb"]
+        assert engine_runs == [(1, 3)]
 
     def test_orders_never_share(self, ring, engine_runs):
         gens = [ring.parse(t) for t in CACHE_GENS]
@@ -724,7 +776,7 @@ class TestBasisCache:
         for g in (gens, random_homogeneous_module(ring, random.Random(5))):
             want = list(groebner_basis(g).elements)  # nothing holds the basis
             assert list(groebner_basis(g).elements) == want
-        assert engine_runs == ["macaulay_gb", "macaulay_module_gb"]
+        assert engine_runs == [(1, 3), (2, 3)]
 
     def test_dropped_ring_is_freed_without_a_collection(self):
         gc.collect()
