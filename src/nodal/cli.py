@@ -8,6 +8,7 @@ keys so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -38,15 +39,8 @@ from .validators import STATEMENTS, run_statement
 
 SCHEMA = 1
 
-# statement-specific flags a runner is allowed to receive
-STATEMENT_PARAMS = {
-    "line-arrangement": ("lines",),
-    "rational-nodal": ("curve_degree",),
-    "determinantal-points": ("emm",),
-    "nodal-curve-search": ("emm",),
-    "adjoint-conditions": ("curve_degree",),
-    "component-sequence": ("component",),
-}
+# size flags of `verify`; each reaches only the runners whose signature takes it
+_SIZE_FLAGS = ("lines", "curve_degree", "emm", "component")
 
 # what the corpus runner checks per fixture kind
 CURVE_STATEMENTS = (
@@ -98,10 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"also rerun at {SECOND_PRIME} and require both to pass",
     )
     sp.add_argument("--fixture", type=Path, default=None)
-    sp.add_argument("--lines", type=int, default=None)
-    sp.add_argument("--curve-degree", type=int, default=None)
-    sp.add_argument("--emm", type=int, default=None)
-    sp.add_argument("--component", type=int, default=None)
+    for name in _SIZE_FLAGS:
+        sp.add_argument("--" + name.replace("_", "-"), type=int, default=None)
 
     sp = sub.add_parser("corpus", help="run the fixture corpus")
     sp.add_argument("directory", type=Path)
@@ -197,7 +189,7 @@ def _cmd_conductor(args) -> int:
     fx = _load_fixture(args.fixture, args.prime)
     if fx.curve is None:
         raise ParseError("conductor needs a curve fixture, not generators")
-    if fx.curve.components_certified and len(fx.curve) >= 1:
+    if fx.curve.components_certified:
         rep = conductor_from_components(fx.curve, args.degree_cap, args.seed)
     else:
         rep = conductor_nodal(fx.curve.total_form, args.degree_cap, args.seed)
@@ -235,21 +227,13 @@ def _run_fixture_statement(statement, seed, cap, fx, fixture_path, **params):
 
 
 def _verify_params(statement: str, args) -> dict:
-    given = {
-        "lines": args.lines,
-        "curve_degree": args.curve_degree,
-        "emm": args.emm,
-        "component": args.component,
+    """The size flags given that the statement's runner takes."""
+    takes = inspect.signature(STATEMENTS[statement]).parameters
+    return {
+        name: getattr(args, name)
+        for name in _SIZE_FLAGS
+        if name in takes and getattr(args, name) is not None
     }
-    allowed = STATEMENT_PARAMS.get(statement, ())
-    params = {}
-    for name, value in given.items():
-        if value is None:
-            continue
-        if name not in allowed:
-            continue
-        params[name] = value
-    return params
 
 
 def _cmd_verify(args) -> int:

@@ -55,16 +55,6 @@ def default_ring(prime: int = DEFAULT_PRIME) -> Ring:
     return Ring("x0,x1,x2", p=prime)
 
 
-def _conic_rank(f: Polynomial) -> int:
-    """Rank of twice the symmetric matrix of a quadratic form in 3 variables."""
-    m = np.zeros((3, 3), dtype=np.int64)
-    for mono, c in f.terms.items():
-        i, j = [v for v in range(3) for _ in range(mono[v])]
-        m[i, j] += c
-        m[j, i] += c
-    return linalg.rank(m, f.ring.p)
-
-
 @dataclass
 class CurveComponent:
     """One reduced component: its form, degree, and an optional conductor.
@@ -90,8 +80,9 @@ class CurveSpec:
     the full irreducible decomposition bookkeeping: a curve handed over as a
     single implicit equation may well be reducible, so validators must not
     read a component count off it.  A certified list is checked where that
-    is cheap: at odd p a conic component whose symmetric matrix has rank
-    below 3, a pair of lines, is refused.
+    is cheap: a conic component is a pair of lines exactly when its Jacobian
+    ideal has codimension below 3, since the partials of a conic are the rows
+    of its symmetric matrix, and such a conic is refused.
     """
 
     __slots__ = (
@@ -128,10 +119,10 @@ class CurveSpec:
                 pair = Ideal(ring, [components[i].form, components[j].form])
                 if codimension(pair) != 2:
                     raise ValueError("components share a common factor")
-        # at odd p a conic is irreducible iff its symmetric matrix has rank 3
-        if components_certified and ring.p != 2:
+        # the Jacobian basis is cached by curve_is_squarefree above
+        if components_certified:
             for comp in components:
-                if comp.degree == 2 and _conic_rank(comp.form) < 3:
+                if comp.degree == 2 and codimension(jacobian_ideal(comp.form)) < 3:
                     raise ValueError(
                         f"conic component {comp.form} is a pair of lines;"
                         " list the lines as components"
@@ -253,14 +244,11 @@ def conductor_nodal(
     return _fill_report(sat, d, "jacobian-saturation", cap)
 
 
-def _component_hints(spec: CurveSpec, cap: int, seed: int) -> list[Ideal]:
-    hints = []
-    for comp in spec.components:
-        if comp.conductor_hint is not None:
-            hints.append(comp.conductor_hint)
-        else:
-            hints.append(conductor_nodal(comp.form, cap, seed).conductor)
-    return hints
+def _component_conductor(comp: CurveComponent, cap: int, seed: int) -> Ideal:
+    """Conductor of one component alone: its hint, else the nodal route."""
+    if comp.conductor_hint is not None:
+        return comp.conductor_hint
+    return conductor_nodal(comp.form, cap, seed).conductor
 
 
 def _blend(spec: CurveSpec, hints, cap: int) -> Ideal:
@@ -283,7 +271,7 @@ def conductor_from_components(
     or, failing that, from the nodal route on the component alone; smooth
     components contribute their complementary product itself.
     """
-    hints = _component_hints(spec, cap, seed)
+    hints = [_component_conductor(c, cap, seed) for c in spec.components]
     blended = _blend(spec, hints, cap)
     if len(spec.components) == 1 and spec.components[0].conductor_hint is not None:
         route = "hint"

@@ -748,7 +748,6 @@ def _homogenized_gb(gens, order, cap) -> GroebnerBasis:
     no terms; interreduction gives the reduced basis.  Marks would be those of
     the homogenized input, so the run makes none and the basis carries none.
     """
-    _check_gens(gens)
     ring = gens[0].ring
     module = isinstance(gens[0], ModuleElement)
     shape = gens[0].shape if module else FreeModuleShape.plain(1)
@@ -800,6 +799,8 @@ def groebner_basis(
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    # before the cache lookup, which reads the ring of the first element only
+    _check_gens(gens)
     ring = gens[0].ring
     module = isinstance(gens[0], ModuleElement)
     shape = gens[0].shape if module else FreeModuleShape.plain(1)

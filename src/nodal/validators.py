@@ -17,6 +17,7 @@ from .curves import (
     SECOND_PRIME,
     ConductorReport,
     CurveSpec,
+    _component_conductor,
     conductor_from_components,
     conductor_nodal,
     default_ring,
@@ -283,10 +284,7 @@ def conductor_sequence_check(
     d = spec.degree
     comp = spec.components[component]
     di = comp.degree
-    if comp.conductor_hint is not None:
-        cond_i = comp.conductor_hint
-    else:
-        cond_i = conductor_nodal(comp.form, cap, seed).conductor
+    cond_i = _component_conductor(comp, cap, seed)
     rest = CurveSpec(
         [c for j, c in enumerate(spec.components) if j != component],
         components_certified=spec.components_certified,
@@ -432,12 +430,10 @@ def _generic_lines(ring: Ring, n: int, rng) -> CurveSpec:
 def _generic_conic_pair(ring: Ring, rng) -> CurveSpec:
     for _ in range(10):
         try:
+            # CurveSpec refuses a conic that is a line pair
             spec = CurveSpec.from_forms(
                 [ring.random_form(2, rng) for _ in range(2)]
             )
-            # a smooth conic is irreducible; a singular one is a line pair
-            if any(codimension(jacobian_ideal(c.form)) != 3 for c in spec.components):
-                continue
             conductor_nodal(spec.total_form, seed=rng.randrange(1 << 30))
             return spec
         except (ValueError, NonNodalCurveError):
@@ -460,16 +456,28 @@ def _spec_from_fixture(fixture):
     return fixture.curve
 
 
+def _runner_spec(fixture, prime: int, degree: int, build):
+    """(spec, notes): the fixture's curve, or build(ring) on a runner ring."""
+    if fixture is not None:
+        return _spec_from_fixture(fixture), []
+    ring, notes = _runner_ring(prime, degree)
+    return build(ring), notes
+
+
+def _stamped(verdict: VerdictReport, seed: int, notes=()) -> VerdictReport:
+    """Record the runner's seed, and its notes ahead of the verdict's own."""
+    verdict.seed = seed
+    verdict.notes = tuple(notes) + verdict.notes
+    return verdict
+
+
 def run_line_arrangement(seed, prime, cap, fixture, lines: int = 3):
     if lines < 2:
         raise ValueError("an arrangement needs at least two lines")
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, lines)
-        rng = random.Random(f"lines:{seed}")
-        spec = _generic_lines(ring, lines, rng)
-    else:
-        spec = _spec_from_fixture(fixture)
+    spec, notes = _runner_spec(
+        fixture, prime, lines,
+        lambda ring: _generic_lines(ring, lines, random.Random(f"lines:{seed}")),
+    )
     ell = len(spec)
     d = spec.degree
     rep = conductor_from_components(spec, cap, seed)
@@ -498,14 +506,11 @@ def run_line_arrangement(seed, prime, cap, fixture, lines: int = 3):
 
 
 def run_rational_nodal(seed, prime, cap, fixture, curve_degree: int = 4):
-    d = curve_degree
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, d)
-        spec = rational_curve_implicitize(d, seed, ring, cap)
-    else:
-        spec = _spec_from_fixture(fixture)
-        d = spec.degree
+    spec, notes = _runner_spec(
+        fixture, prime, curve_degree,
+        lambda ring: rational_curve_implicitize(curve_degree, seed, ring, cap),
+    )
+    d = spec.degree
     rep = conductor_nodal(spec.components[0].form, cap, seed)
     res = resolve_ideal(rep.conductor, cap)
     computed = {
@@ -596,16 +601,11 @@ def run_nodal_curve_search(seed, prime, cap, fixture, emm: int = 2):
 
 
 def run_two_route(seed, prime, cap, fixture):
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, 4)
-        spec = _cubic_plus_line(ring)
-    else:
-        spec = _spec_from_fixture(fixture)
+    spec, notes = _runner_spec(fixture, prime, 4, _cubic_plus_line)
     ra = conductor_from_components(spec, cap, seed)
     rb = conductor_nodal(spec.total_form, cap, seed)
     if len(spec) == 1:
-        notes = list(notes) + ["single component: the two routes coincide"]
+        notes.append("single component: the two routes coincide")
     computed = {
         "same_ideal": ra.conductor.same_ideal(rb.conductor),
         "component_route": {
@@ -629,18 +629,12 @@ def run_two_route(seed, prime, cap, fixture):
 
 
 def run_regularity_syzygy(seed, prime, cap, fixture):
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, 4)
-        rng = random.Random(f"regsyz:{seed}")
-        spec = _generic_conic_pair(ring, rng)
-    else:
-        spec = _spec_from_fixture(fixture)
+    spec, notes = _runner_spec(
+        fixture, prime, 4,
+        lambda ring: _generic_conic_pair(ring, random.Random(f"regsyz:{seed}")),
+    )
     rep = conductor_from_components(spec, cap, seed)
-    verdict = verify_regularity_theorem(rep, spec, cap=cap)
-    verdict.seed = seed
-    verdict.notes = tuple(notes) + verdict.notes
-    return verdict
+    return _stamped(verify_regularity_theorem(rep, spec, cap=cap), seed, notes)
 
 
 def run_jacobian_syzygy(seed, prime, cap, fixture):
@@ -648,8 +642,7 @@ def run_jacobian_syzygy(seed, prime, cap, fixture):
         spec = _spec_from_fixture(fixture)
         reducible = (len(spec) >= 2) if spec.components_certified else None
         verdict = jacobian_syzygy_analysis(spec.total_form, reducible, cap)
-        verdict.seed = seed
-        return verdict
+        return _stamped(verdict, seed)
     ring, notes = _runner_ring(prime, 4)
     rng = random.Random(f"jacsyz:{seed}")
     # one reducible and one certified-irreducible instance side by side
@@ -709,45 +702,29 @@ def run_linkage(seed, prime, cap, fixture):
 
 
 def run_adjoint_conditions(seed, prime, cap, fixture, curve_degree: int = 4):
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, curve_degree)
-        spec = rational_curve_implicitize(curve_degree, seed, ring, cap)
-    else:
-        spec = _spec_from_fixture(fixture)
+    spec, notes = _runner_spec(
+        fixture, prime, curve_degree,
+        lambda ring: rational_curve_implicitize(curve_degree, seed, ring, cap),
+    )
     rep = conductor_nodal(spec.total_form, cap, seed)
-    verdict = adjoint_completeness_check(rep, cap=cap)
-    verdict.seed = seed
-    verdict.notes = tuple(notes) + verdict.notes
-    return verdict
+    return _stamped(adjoint_completeness_check(rep, cap=cap), seed, notes)
 
 
 def run_component_sequence(seed, prime, cap, fixture, component: int = 0):
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, 4)
-        spec = _cubic_plus_line(ring)
-    else:
-        spec = _spec_from_fixture(fixture)
+    spec, notes = _runner_spec(fixture, prime, 4, _cubic_plus_line)
     verdict = conductor_sequence_check(spec, component, cap, seed)
-    verdict.seed = seed
-    verdict.notes = tuple(notes) + verdict.notes
-    return verdict
+    return _stamped(verdict, seed, notes)
 
 
 def run_partial_normalization(seed, prime, cap, fixture):
-    notes = []
-    if fixture is None:
-        ring, notes = _runner_ring(prime, 3)
-        spec = CurveSpec.from_forms(
+    spec, notes = _runner_spec(
+        fixture, prime, 3,
+        lambda ring: CurveSpec.from_forms(
             [ring.parse("x0"), ring.parse("x1"), ring.parse("x2")]
-        )
-    else:
-        spec = _spec_from_fixture(fixture)
+        ),
+    )
     verdict = partial_normalization_report(spec, cap=cap, seed=seed)
-    verdict.seed = seed
-    verdict.notes = tuple(notes) + verdict.notes
-    return verdict
+    return _stamped(verdict, seed, notes)
 
 
 def run_symbolic_square(seed, prime, cap, fixture):

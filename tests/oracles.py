@@ -85,6 +85,16 @@ def poly_vector(f: Polynomial, monos) -> np.ndarray:
     return row
 
 
+def conic_rank(f: Polynomial) -> int:
+    """Rank of twice the symmetric matrix of a quadratic form in 3 variables."""
+    m = np.zeros((3, 3), dtype=np.int64)
+    for mono, c in f.terms.items():
+        i, j = [v for v in range(3) for _ in range(mono[v])]
+        m[i, j] += c
+        m[j, i] += c
+    return linalg.rank(m, f.ring.p)
+
+
 def member(f: Polynomial, gens) -> bool:
     """Span membership for a homogeneous polynomial in a homogeneous ideal."""
     if not f:

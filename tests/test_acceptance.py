@@ -153,9 +153,9 @@ def test_criterion_01_line_arrangements():
     elapsed = time.perf_counter() - t0
     _accept(
         1,
-        not failures and elapsed < 5.0,
+        not failures and elapsed < 2.0,
         f"lines l=2..5: singular-set = product ideal, resolution shape, "
-        f"reg = d-1, beta_1d = l-1 ({elapsed:.1f}s < 5s)",
+        f"reg = d-1, beta_1d = l-1 ({elapsed:.1f}s < 2s)",
     )
 
 
@@ -184,9 +184,9 @@ def test_criterion_02_determinantal_m2_chain():
     bad = [k for k, v in checks.items() if not v]
     _accept(
         2,
-        not bad and elapsed < 5.0,
+        not bad and elapsed < 2.0,
         f"19 determinantal points, symbolic square, certified degree-10 "
-        f"nodal curve {bad or ''}({elapsed:.1f}s < 5s)",
+        f"nodal curve {bad or ''}({elapsed:.1f}s < 2s)",
     )
 
 
@@ -203,9 +203,9 @@ def test_criterion_03_determinantal_m3():
     elapsed = time.perf_counter() - t0
     _accept(
         3,
-        ok and elapsed < 5.0,
+        ok and elapsed < 2.0,
         f"m=3: delta=57, reg=13, four degree-9 generators "
-        f"({elapsed:.1f}s < 5s)",
+        f"({elapsed:.1f}s < 2s)",
     )
 
 
@@ -222,7 +222,7 @@ def test_criterion_04_rational_nodal_curves():
             inv["delta"] == comb(d - 1, 2)
             and inv["regularity"] == d - 2
             and inv["twists"] == inv["expected_twists"]
-            and elapsed < 5.0
+            and elapsed < 2.0
         )
         if not ok:
             failures.append((d, inv))
@@ -230,7 +230,7 @@ def test_criterion_04_rational_nodal_curves():
         4,
         not failures,
         f"implicitized rational curves d=4,5: delta=C(d-1,2), resolution "
-        f"shape, reg=d-2 ({times[0]:.1f}s, {times[1]:.1f}s each < 5s)",
+        f"shape, reg=d-2 ({times[0]:.1f}s, {times[1]:.1f}s each < 2s)",
     )
 
 
@@ -242,10 +242,10 @@ def test_criterion_05_two_route_corpus():
     degrees_ok = all(s["degree"] <= 7 for s in stats.values())
     _accept(
         5,
-        len(stats) >= 10 and degrees_ok and not bad and elapsed < 5.0,
+        len(stats) >= 10 and degrees_ok and not bad and elapsed < 2.0,
         f"{len(stats)} reducible all-nodal fixtures d<=7: identical reduced "
         f"GBs both routes, reg=d-1, beta_1d=l-1, reg=d-1-indeg(B/A) "
-        f"{bad or ''}({elapsed:.1f}s < 5s)",
+        f"{bad or ''}({elapsed:.1f}s < 2s)",
     )
 
 
@@ -459,7 +459,7 @@ def test_criterion_10_engine_property_suites():
     elapsed = time.perf_counter() - t0
     _accept(
         10,
-        not failures and elapsed < 30.0,
+        not failures and elapsed < 15.0,
         f"span oracle x20, resolution invariants, 50 saturation round-trips, "
-        f"second-prime agreement {failures or ''}({elapsed:.1f}s < 30s)",
+        f"second-prime agreement {failures or ''}({elapsed:.1f}s < 15s)",
     )

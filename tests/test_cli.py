@@ -1,6 +1,8 @@
 """End-to-end command line tests driving main() directly."""
+import functools
 import gc
 import hashlib
+import inspect
 import json
 import shutil
 import weakref
@@ -10,6 +12,8 @@ import pytest
 
 from nodal import cli
 from nodal.cli import main
+from nodal.report import VerdictReport
+from nodal.validators import STATEMENTS
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -167,6 +171,40 @@ class TestVerify:
     def test_statement_with_parameter(self, capsys):
         rc = main(["verify", "--statement", "line-arrangement", "--lines", "2"])
         assert rc == 0
+
+    def test_every_runner_parameter_has_a_flag(self):
+        parser = cli.build_parser()
+        for statement, runner in STATEMENTS.items():
+            names = list(inspect.signature(runner).parameters)
+            assert names[:4] == ["seed", "prime", "cap", "fixture"]
+            for name in names[4:]:
+                flag = "--" + name.replace("_", "-")
+                args = parser.parse_args(
+                    ["verify", "--statement", statement, flag, "3"]
+                )
+                assert getattr(args, name) == 3, (statement, name)
+
+    def test_size_flags_reach_only_runners_that_take_them(
+        self, monkeypatch, capsys
+    ):
+        calls = {}
+
+        def spy_on(statement, runner):
+            @functools.wraps(runner)  # the signature routes the flags
+            def spy(seed, prime, cap, fixture, **params):
+                calls[statement] = params
+                return VerdictReport.from_comparison(statement, prime, {}, {})
+
+            return spy
+
+        for statement, runner in list(STATEMENTS.items()):
+            monkeypatch.setitem(STATEMENTS, statement, spy_on(statement, runner))
+        assert main(["verify", "--all", "--lines", "4", "--emm", "3"]) == 0
+        assert calls == {s: {} for s in STATEMENTS} | {
+            "line-arrangement": {"lines": 4},
+            "determinantal-points": {"emm": 3},
+            "nodal-curve-search": {"emm": 3},
+        }
 
     def test_json_report_shape(self, capsys):
         rc = main(["verify", "--statement", "partial-normalization", "--json"])

@@ -1,4 +1,5 @@
 """Curve layer: conductor routes, certificates, constructions, fixtures."""
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from nodal import (
     Ring,
     RetryBudgetExceeded,
     betti_table,
+    codimension,
     conductor_from_components,
     conductor_nodal,
     determinantal_points,
@@ -63,6 +65,29 @@ class TestCurveSpec:
             [ring.parse("x0*x1")], components_certified=False
         )
         assert spec.degree == 2
+
+    @pytest.mark.parametrize("p", [3, 7, 32003])
+    def test_conic_rank_is_jacobian_codimension(self, p):
+        # the partials of a conic are the rows of its symmetric matrix, so
+        # the Jacobian codimension CurveSpec reads is the rank
+        r = Ring("x0,x1,x2", p=p)
+        rng = random.Random(f"conic-rank:{p}")
+        seen = set()
+        for _ in range(30):
+            rank = rng.randint(1, 3)
+            # c_1 L_1^2 + ... + c_rank L_rank^2 with independent L_i
+            while True:
+                forms = [r.random_linear(rng) for _ in range(3)]
+                if oracles.quotient_dim(forms, 1) == 0:
+                    break
+            q = sum(
+                (f * f * rng.randrange(1, p) for f in forms[:rank]),
+                start=r.zero(),
+            )
+            assert oracles.conic_rank(q) == rank
+            assert codimension(jacobian_ideal(q)) == rank
+            seen.add(rank)
+        assert seen == {1, 2, 3}
 
     def test_smooth_conic_accepted(self, ring):
         spec = CurveSpec.from_forms([ring.parse("x0^2 + x1^2 + x2^2 + x0*x1")])

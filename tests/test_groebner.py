@@ -803,6 +803,18 @@ class TestBasisCache:
         with pytest.raises(RingMismatchError):
             groebner_basis(gens, Grevlex(4))
 
+    def test_mixed_rings_refused_in_either_order(self):
+        # the lookup reads the first element's ring; a hit there must not
+        # hide that the list mixes rings
+        r1, r2 = Ring("x0,x1,x2", p=32003), Ring("x0,x1,x2", p=32009)
+        f, g = r1.parse("x0^2 + x1*x2"), r1.parse("x1^2")
+        other = r2.parse("x1^2")
+        groebner_basis([f, g])
+        groebner_basis([r2.parse("x0^2 + x1*x2"), other])
+        for mixed in ([f, other], [other, f], [r2.zero(), f, g]):
+            with pytest.raises(RingMismatchError):
+                groebner_basis(mixed)
+
     def test_bounded_least_recently_used(self, ring, engine_runs):
         # one key per single-monomial ideal: its basis is its generator
         monos = [m for d in range(1, 20) for m in ring.monomials_of_degree(d)]
