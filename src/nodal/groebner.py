@@ -26,8 +26,7 @@ from __future__ import annotations
 import heapq
 import struct
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -355,6 +354,8 @@ class GroebnerBasis:
     Macaulay engine marked: a minimal generating set of the ideal or module,
     or for syzygy rows of the syzygies (see `syzygy_generators`).  It is None
     for a basis of inhomogeneous input, which is unmarked (`_homogenized_gb`).
+    derived memoizes the leads and the Hilbert numerator, which hold no ring;
+    a basis rebuilt from its cache entry shares the entry's memo.
     """
 
     ring: Ring
@@ -362,6 +363,7 @@ class GroebnerBasis:
     order: object  # MonomialOrder for rank 1, ModuleOrder otherwise
     elements: tuple
     minimal: tuple | None = None
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def minimal_elements(self) -> list:
         return [self.elements[i] for i in self.minimal]
@@ -376,23 +378,22 @@ class GroebnerBasis:
         return self.order.key
 
     def lead_monomials(self) -> tuple:
-        return self._leads
+        if "leads" not in self.derived:
+            if self.rank1:
+                leads = (f.lead_monomial(self.order) for f in self.elements)
+            else:
+                leads = (max(z.terms, key=self.order.key) for z in self.elements)
+            self.derived["leads"] = tuple(leads)
+        return self.derived["leads"]
 
-    @cached_property
-    def _leads(self) -> tuple:
-        """Lead of each element, found once per basis object."""
-        if self.rank1:
-            return tuple(f.lead_monomial(self.order) for f in self.elements)
-        keyf = self.order.key
-        return tuple(max(z.terms, key=keyf) for z in self.elements)
-
-    @cached_property
+    @property
     def hilbert_numerator(self) -> tuple:
-        """`ideals.hilbert_numerator` of the leads of an ideal's basis, found
-        once per basis object."""
-        from .ideals import hilbert_numerator
+        """`ideals.hilbert_numerator` of the leads of an ideal's basis."""
+        if "numerator" not in self.derived:
+            from .ideals import hilbert_numerator
 
-        return hilbert_numerator(self._leads)
+            self.derived["numerator"] = hilbert_numerator(self.lead_monomials())
+        return self.derived["numerator"]
 
     def __len__(self):
         return len(self.elements)
@@ -407,11 +408,12 @@ class _CacheEntry:
     A basis and its elements point at their ring, so a cache holding them
     would make each ring a reference cycle, and a dropped ring would wait for
     a full cyclic collection.  The entry keeps the shape, the order, each
-    element's terms and the marks, and weakly the ring and the basis object
-    last built from them, which `basis` returns while anything else holds it.
+    element's terms, the marks and the basis's `derived` memo, and weakly the
+    ring and the basis object last built from them, which `basis` returns
+    while anything else holds it.
     """
 
-    __slots__ = ("_ring", "shape", "order", "terms", "minimal", "_basis")
+    __slots__ = ("_ring", "shape", "order", "terms", "minimal", "derived", "_basis")
 
     def __init__(self, gb: GroebnerBasis):
         self._ring = weakref.ref(gb.ring)
@@ -419,6 +421,7 @@ class _CacheEntry:
         self.order = gb.order
         self.terms = tuple(z.terms for z in gb.elements)
         self.minimal = gb.minimal
+        self.derived = gb.derived
         self._basis = weakref.ref(gb)
 
     @property
@@ -435,7 +438,9 @@ class _CacheEntry:
                 elements = tuple(
                     ModuleElement(ring, self.shape, t) for t in self.terms
                 )
-            gb = GroebnerBasis(ring, self.shape, self.order, elements, self.minimal)
+            gb = GroebnerBasis(
+                ring, self.shape, self.order, elements, self.minimal, self.derived
+            )
             self._basis = weakref.ref(gb)
         return gb
 

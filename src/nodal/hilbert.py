@@ -1,12 +1,13 @@
-"""Hilbert functions and polynomials, each computed by two routes.
+"""Hilbert functions and polynomials, both read off one Hilbert series.
 
-The function route counts standard monomials under the lead-term ideal of
-a reduced basis.  The polynomial route expands the alternating sum of
-binomial dimensions of a minimal free resolution into an honest
-polynomial in the degree.  Both are exposed together in HilbertData and
-their agreement degree is where the function settles onto the polynomial,
-which for a saturated point scheme is the regularity of the coordinate
-ring.
+The series of S/I is N(t)/(1-t)^n, N the numerator of the lead-term ideal of
+a reduced basis (`ideals.hilbert_numerator`).  The function's value in
+degree e is the coefficient of t^e; the polynomial sums one binomial in e
+per coefficient of N.  A minimal free resolution has the same numerator as
+its alternating Betti sum, an identity checked when it is built, so its
+twists bound the window of values.  The agreement degree is where the
+function settles onto the polynomial, which for a saturated point scheme is
+the regularity of the coordinate ring.
 """
 from __future__ import annotations
 
@@ -20,37 +21,24 @@ from .report import VerdictReport
 from .resolution import FreeResolution, resolve_quotient
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _binomial_polynomial(nvars: int, shift: int) -> list[Fraction]:
     """Coefficients in e of binom(e - shift + nvars - 1, nvars - 1)."""
     coeffs = [Fraction(1)]
     for k in range(1, nvars):
-        coeffs = _poly_mul(coeffs, [Fraction(k - shift), Fraction(1)])
-    fact = 1
-    for k in range(2, nvars):
-        fact *= k
-    return [c / fact for c in coeffs]
+        # times (e - shift + k) / k
+        coeffs = [(a * (k - shift) + b) / k for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 def resolution_hilbert_polynomial(res: FreeResolution) -> tuple[Fraction, ...]:
-    """Hilbert polynomial of the resolved module, low coefficients first."""
+    """Hilbert polynomial of the resolved module, low coefficients first:
+    c * binom(e - k + n - 1, n - 1) summed over the terms c t^k of its
+    numerator."""
     n = res.ring.nvars
-    acc: list[Fraction] = []
-    for i, level in enumerate(res.twists):
-        sign = (-1) ** i
-        for t in level:
-            part = _binomial_polynomial(n, t)
-            if len(part) > len(acc):
-                acc.extend([Fraction(0)] * (len(part) - len(acc)))
-            for k, c in enumerate(part):
-                acc[k] += sign * c
+    acc = [Fraction(0)] * n
+    for shift, coeff in enumerate(res.numerator):
+        for k, c in enumerate(_binomial_polynomial(n, shift)):
+            acc[k] += coeff * c
     while acc and acc[-1] == 0:
         acc.pop()
     return tuple(acc)
@@ -77,13 +65,6 @@ class HilbertData:
     values: tuple[int, ...]
     polynomial: tuple[Fraction, ...]
     agreement_degree: int
-
-    def value(self, e: int) -> int:
-        if e < 0:
-            return 0
-        if e < len(self.values):
-            return self.values[e]
-        return evaluate_polynomial(self.polynomial, e)
 
     def is_constant_polynomial(self) -> bool:
         return len(self.polynomial) <= 1
@@ -117,16 +98,14 @@ def hilbert_function(
     resolution: FreeResolution | None = None,
     cap: int = DEFAULT_DEGREE_CAP,
 ) -> HilbertData:
-    """HilbertData of S/I with both routes cross-checked on the window."""
+    """HilbertData of S/I on degrees 0 to the largest twist of its minimal
+    resolution plus 2; a resolution the caller supplies must be one of S/I."""
     if resolution is None:
         resolution = resolve_quotient(ideal, cap)
-    top = resolution.max_twist() + 3
-    values = [ideal.quotient_dim(e) for e in range(top)]
-    for e in range(top):
-        if values[e] != resolution.hilbert_alternating(e):
-            raise InvariantViolation("Hilbert routes disagree")
-    poly = resolution_hilbert_polynomial(resolution)
-    return _package(values, poly)
+    elif resolution.numerator != ideal.gb().hilbert_numerator:
+        raise InvariantViolation("the resolution is not one of S/I")
+    values = [ideal.quotient_dim(e) for e in range(resolution.max_twist() + 3)]
+    return _package(values, resolution_hilbert_polynomial(resolution))
 
 
 def cm_regularity_crosscheck(

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, zip_longest
+from itertools import accumulate, combinations_with_replacement
 from operator import le
 
 import numpy as np
@@ -115,16 +115,9 @@ class Ideal:
         return total - self.quotient_dim(degree)
 
     def quotient_dim(self, degree: int) -> int:
-        """dim of the degree slice of ring/ideal: the coefficient of t^degree
-        in N(t)/(1-t)^n, N the Hilbert numerator of its grevlex leads."""
-        if degree < 0:
-            return 0
-        n = self.ring.nvars
-        numerator = self.gb().hilbert_numerator
-        return sum(
-            c * math.comb(degree - k + n - 1, n - 1)
-            for k, c in enumerate(numerator[: degree + 1])
-        )
+        """dim of the degree slice of ring/ideal, read off the Hilbert
+        numerator of its grevlex leads."""
+        return _series_coefficient(self.gb().hilbert_numerator, self.ring.nvars, degree)
 
     def graded_basis(self, degree: int, cap: int = DEFAULT_DEGREE_CAP):
         """Vector-space basis of the degree slice, in reduced echelon form."""
@@ -303,13 +296,37 @@ def hilbert_numerator(leads) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _series_coefficient(numerator, n: int, degree: int) -> int:
+    """Coefficient of t^degree in numerator/(1-t)^n, 0 in negative degrees."""
+    return sum(
+        c * math.comb(degree - k + n - 1, n - 1)
+        for k, c in enumerate(numerator[: max(degree + 1, 0)])
+    )
+
+
+def _numerator_sum(*signed) -> tuple[int, ...]:
+    """Sum of s * N over the (s, N) pairs, trimmed like `hilbert_numerator`."""
+    out = [0] * max(len(numerator) for _, numerator in signed)
+    for s, numerator in signed:
+        for k, c in enumerate(numerator):
+            out[k] += s * c
+    return tuple(_uni_trim(out))
+
+
+def _root_multiplicity(coeffs, cap: int) -> int:
+    """Multiplicity of t = 1 as a root of sum coeffs[k] t^k, at most cap."""
+    c = list(coeffs)
+    for k in range(cap):
+        if sum(c):
+            return k
+        c = list(accumulate(reversed(c[1:])))[::-1]  # c(t) / (t - 1)
+    return cap
+
+
 def _same_hilbert_polynomial(a, b, n: int) -> bool:
     """Whether numerators a and b over n variables give one Hilbert
-    polynomial: the derivatives of a - b of every order k < n vanish at 1."""
-    diff = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    return all(
-        sum(c * math.perm(j, k) for j, c in enumerate(diff)) == 0 for k in range(n)
-    )
+    polynomial: (1-t)^n divides a - b."""
+    return _root_multiplicity(_numerator_sum((1, a), (-1, b)), n) >= n
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +442,14 @@ def saturate(a: Ideal, b: Ideal | None = None, cap: int = DEFAULT_DEGREE_CAP) ->
 
 
 def codimension(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Height of the ideal via its lead monomial ideal.
+    """Height of the ideal: the multiplicity of t = 1 as a root of the
+    Hilbert numerator of its grevlex leads.
 
-    The lead ideal is a flat degeneration, so its codimension agrees; for a
-    monomial ideal the minimal primes are coordinate subspaces, and the
-    height is the smallest number of variables meeting every generator.
-    Returns 0 for the zero ideal and nvars + 1 for the unit ideal.
+    The lead ideal is a flat degeneration, so its codimension agrees, and
+    HS(S/I) = N(t)/(1-t)^n has a pole of order dim S/I at t = 1.  Returns 0
+    for the zero ideal (N = 1) and nvars + 1 for the unit ideal (N = 0).
     """
-    if a.is_zero():
-        return 0
-    leads = a.gb(cap=cap).lead_monomials()
-    if any(not any(m) for m in leads):
-        return a.ring.nvars + 1
-    n = a.ring.nvars
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if all(any(m[i] for i in subset) for m in leads):
-                return size
-    raise InvariantViolation("no variable cover found")  # pragma: no cover
+    return _root_multiplicity(a.gb(cap=cap).hilbert_numerator, a.ring.nvars + 1)
 
 
 def curve_is_squarefree(f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
@@ -465,15 +472,16 @@ def curve_is_squarefree(f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
 # Finite schemes: length, symbolic square, reducedness certificate
 
 
-def scheme_length(a: Ideal, limit: int = 500) -> int:
+def scheme_length(a: Ideal) -> int:
     """Stable value of the Hilbert function of ring/a.
 
     Valid for a saturated ideal of a finite scheme: the function is
     nondecreasing and constant once it stabilizes, so the first repeat is the
-    length.
+    length; it comes by degree len(N) + 1, past which the function is a
+    polynomial.
     """
     prev = a.quotient_dim(0)
-    for e in range(1, limit):
+    for e in range(1, len(a.gb().hilbert_numerator) + 2):
         cur = a.quotient_dim(e)
         if cur == prev:
             return cur

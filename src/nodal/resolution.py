@@ -8,15 +8,15 @@ generator redundant), so the chain is minimal by construction, level by
 level (D. Eisenbud, The Geometry of Syzygies, ch. 1).  Nothing rewrites a
 chain after it is built.  Every constructed resolution is verified on the
 spot instead: consecutive maps compose to zero, entry degrees match the
-twist bookkeeping, no nonzero scalar entry occurs, and the alternating sum
-of free-module dimensions reproduces an independently counted Hilbert
-function on a window past the largest twist.  A chain that fails any check
-is refused with InvariantViolation.
+twist bookkeeping, no nonzero scalar entry occurs, and the alternating
+Betti sum sum_i (-1)^i sum_j beta_{i,j} t^j is exactly the numerator N(t) of
+the module's Hilbert series N(t)/(1-t)^n: N of the basis's leads for S/I,
+1 - N for I, or the caller's numerator for a presented module.  A chain
+that fails any check is refused with InvariantViolation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import InvariantViolation
 from .groebner import (
@@ -26,15 +26,10 @@ from .groebner import (
     groebner_basis,
     syzygy_generators,
 )
-from .ideals import Ideal
+from .ideals import Ideal, _numerator_sum
 from .ring import Polynomial, Ring
 
 Matrix = tuple[tuple[Polynomial, ...], ...]
-
-
-def free_graded_dim(nvars: int, twists, e: int) -> int:
-    """Dimension of the degree-e piece of ⊕ S(-t)."""
-    return sum(comb(e - t + nvars - 1, nvars - 1) for t in twists if e >= t)
 
 
 @dataclass(frozen=True)
@@ -67,12 +62,15 @@ class FreeResolution:
         """max(j - i) over nonzero Betti numbers; 0 for the zero module."""
         return max((j - i for (i, j) in self.betti()), default=0)
 
-    def hilbert_alternating(self, e: int) -> int:
-        n = self.ring.nvars
-        total = 0
+    @property
+    def numerator(self) -> tuple[int, ...]:
+        """sum_i (-1)^i sum_{j in twists[i]} t^j, trimmed: the numerator of
+        the resolved module's Hilbert series over (1-t)^n."""
+        out = [0] * (self.max_twist() + 1)
         for i, level in enumerate(self.twists):
-            total += (-1) ** i * free_graded_dim(n, level, e)
-        return total
+            for t in level:
+                out[t] += (-1) ** i
+        return _numerator_sum((1, out))
 
     def max_twist(self) -> int:
         return max((t for level in self.twists for t in level), default=0)
@@ -85,7 +83,7 @@ def _compose_entry(ring: Ring, a: Matrix, b: Matrix, r: int, c: int, rank: int):
     return s
 
 
-def _verify_resolution(res: FreeResolution, hf) -> None:
+def _verify_resolution(res: FreeResolution, numerator) -> None:
     ring = res.ring
     for i, mat in enumerate(res.maps):
         rows, cols = res.twists[i], res.twists[i + 1]
@@ -106,22 +104,21 @@ def _verify_resolution(res: FreeResolution, hf) -> None:
             for c in range(len(res.twists[i + 2])):
                 if _compose_entry(ring, a, b, r, c, mid):
                     raise InvariantViolation("consecutive maps do not compose to zero")
-    for e in range(res.max_twist() + 3):
-        if res.hilbert_alternating(e) != hf(e):
-            raise InvariantViolation("alternating Hilbert sum disagrees with ideal count")
+    if res.numerator != _numerator_sum((1, numerator)):
+        raise InvariantViolation("alternating Betti sum is not the Hilbert numerator")
 
 
-def _freeze(ring: Ring, twists: list, maps: list, hf) -> FreeResolution:
+def _freeze(ring: Ring, twists: list, maps: list, numerator) -> FreeResolution:
     res = FreeResolution(
         ring,
         tuple(tuple(level) for level in twists),
         tuple(tuple(tuple(row) for row in m) for m in maps),
     )
-    _verify_resolution(res, hf)
+    _verify_resolution(res, numerator)
     return res
 
 
-def _resolve(ring: Ring, gen_twists, relations, hf, cap: int) -> FreeResolution:
+def _resolve(ring: Ring, gen_twists, relations, numerator, cap: int) -> FreeResolution:
     """Resolution of the free module on gen_twists modulo the relations.
 
     The relations must be a minimal generating set with no unit entry.  Each
@@ -141,17 +138,17 @@ def _resolve(ring: Ring, gen_twists, relations, hf, cap: int) -> FreeResolution:
         level = syzygy_generators(level, cap=cap)
     if level:
         raise InvariantViolation("resolution did not terminate")
-    return _freeze(ring, twists, maps, hf)
+    return _freeze(ring, twists, maps, numerator)
 
 
 def resolve_quotient(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
     """Minimal free resolution of S/I: S modulo the minimal generators."""
     ring = ideal.ring
     if ideal.is_unit():
-        return _resolve(ring, (), [], lambda e: 0, cap)
+        return _resolve(ring, (), [], (), cap)
     plain = FreeModuleShape.plain(1)
     rels = [ModuleElement.from_polynomials(plain, [g]) for g in ideal.minimal_gens()]
-    return _resolve(ring, (0,), rels, ideal.quotient_dim, cap)
+    return _resolve(ring, (0,), rels, ideal.gb().hilbert_numerator, cap)
 
 
 def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
@@ -160,11 +157,12 @@ def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution
     gens = ideal.minimal_gens()
     twists = tuple(g.homogeneous_degree() for g in gens)
     rels = syzygy_generators(gens, cap=cap)
-    return _resolve(ideal.ring, twists, rels, ideal.graded_dim, cap)
+    numerator = _numerator_sum((1, (1,)), (-1, ideal.gb().hilbert_numerator))
+    return _resolve(ideal.ring, twists, rels, numerator, cap)
 
 
 def resolve_presented(
-    ring: Ring, gen_twists, relations, hf, cap: int = DEFAULT_DEGREE_CAP
+    ring: Ring, gen_twists, relations, numerator, cap: int = DEFAULT_DEGREE_CAP
 ) -> FreeResolution:
     """Minimal free resolution of a module presented by explicit relations.
 
@@ -174,10 +172,13 @@ def resolve_presented(
     presentation must be minimal in the graded sense: a relation with a unit
     entry (a nonzero scalar in some component) would make a generator
     redundant, and it is refused with ValueError.  Eliminate such a
-    generator before presenting the module.  hf must supply the Hilbert
-    function of the presented module; it is checked against the result.
+    generator before presenting the module.  numerator is that of the
+    module's Hilbert series over (1-t)^n, from t^0 up, which the result's
+    alternating Betti sum must equal; so generator twists must be nonnegative.
     """
     gen_twists = tuple(gen_twists)
+    if any(t < 0 for t in gen_twists):
+        raise ValueError("generator twists must be nonnegative")
     shape = FreeModuleShape(len(gen_twists), gen_twists)
     relations = [z for z in relations if z]
     for z in relations:
@@ -188,4 +189,4 @@ def resolve_presented(
         if any(m == ring.zero_mono for _, m in z.terms):
             raise ValueError("relation has a unit entry: presentation not minimal")
     rels = groebner_basis(relations, cap=cap).minimal_elements() if relations else []
-    return _resolve(ring, gen_twists, rels, hf, cap)
+    return _resolve(ring, gen_twists, rels, numerator, cap)

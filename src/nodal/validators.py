@@ -36,6 +36,8 @@ from .groebner import (
 )
 from .ideals import (
     Ideal,
+    _numerator_sum,
+    _series_coefficient,
     codimension,
     ideal_sum,
     indeg,
@@ -280,6 +282,8 @@ def conductor_sequence_check(
     """
     if len(spec) < 2:
         raise ValueError("sequence check needs at least two components")
+    if not 0 <= component < len(spec):
+        raise ValueError(f"component must lie in 0..{len(spec) - 1}")
     ring = spec.ring
     d = spec.degree
     comp = spec.components[component]
@@ -350,15 +354,15 @@ def partial_normalization_report(
             ("single component: B equals A, nothing to compare",),
         )
     d = spec.degree
-    parts = [Ideal(ring, [c.form]) for c in spec.components]
-    total = Ideal(ring, [spec.total_form])
-
-    def hf_ba(e: int) -> int:
-        if e < 0:
-            return 0
-        return sum(p.quotient_dim(e) for p in parts) - total.quotient_dim(e)
-
-    indeg_ba = next(e for e in range(d + 2) if hf_ba(e) > 0)
+    # HS(B/A) = sum_i HS(S/F_i) - HS(S/F), so its numerator is the same sum
+    n_ba = _numerator_sum(
+        *((1, Ideal(ring, [c.form]).gb().hilbert_numerator) for c in spec.components),
+        (-1, Ideal(ring, [spec.total_form]).gb().hilbert_numerator),
+    )
+    dim0 = _series_coefficient(n_ba, ring.nvars, 0)
+    indeg_ba = next(
+        e for e in range(d + 2) if _series_coefficient(n_ba, ring.nvars, e) > 0
+    )
     # B/A is B's generators e_0, ..., e_{ell-1} modulo F_i e_i and the
     # diagonal e_0 + ... + e_{ell-1}.  That unit relation eliminates
     # e_0 = -(e_1 + ... + e_{ell-1}), which leaves the minimal presentation
@@ -373,7 +377,7 @@ def partial_normalization_report(
         rels.append(ModuleElement.from_polynomials(shape, cols))
     f0 = spec.components[0].form
     rels.append(ModuleElement.from_polynomials(shape, [f0] * (ell - 1)))
-    res = resolve_presented(ring, twists, rels, hf_ba, cap)
+    res = resolve_presented(ring, twists, rels, n_ba, cap)
     reg_ba = res.regularity()
 
     rep = conductor_report
@@ -381,7 +385,7 @@ def partial_normalization_report(
         rep = conductor_from_components(spec, cap, seed)
     computed = {
         "components": ell,
-        "dim_degree_zero": hf_ba(0),
+        "dim_degree_zero": dim0,
         "indeg": indeg_ba,
         "regularity": reg_ba,
         "regularity_at_most_d_minus_2": reg_ba <= d - 2,
@@ -392,7 +396,7 @@ def partial_normalization_report(
         "dim_degree_zero": ell - 1,
         "indeg": 0,
         "regularity_at_most_d_minus_2": True,
-        "duality_syzygy_count": hf_ba(0),
+        "duality_syzygy_count": dim0,
         "regularity_law": True,
     }
     return VerdictReport.from_comparison(

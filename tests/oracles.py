@@ -486,6 +486,19 @@ def mono_sat_irrelevant(gens, nvars: int) -> set:
     return mono_min_gens(acc)
 
 
+def codimension_by_cover(gens, nvars: int) -> int:
+    """Height of a monomial ideal: its minimal primes are generated by
+    variables, so it is the fewest variables meeting every generator.  0 for
+    no generators and nvars + 1 for the unit ideal, as `ideals.codimension`."""
+    if any(not any(m) for m in gens):
+        return nvars + 1
+    for size in range(nvars + 1):
+        for subset in combinations(range(nvars), size):
+            if all(any(m[i] for i in subset) for m in gens):
+                return size
+    raise AssertionError("no variable cover found")
+
+
 def mono_quotient_dim(gens, nvars: int, degree: int) -> int:
     """Count standard monomials of one degree under a monomial ideal."""
     from itertools import product

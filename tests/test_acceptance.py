@@ -25,7 +25,12 @@ from nodal import (
     saturate,
     symbolic_square,
 )
-from nodal.ideals import ideal_product, irrelevant_ideal, scheme_length
+from nodal.ideals import (
+    _numerator_sum,
+    ideal_product,
+    irrelevant_ideal,
+    scheme_length,
+)
 from nodal.report import betti_table
 from nodal.resolution import _verify_resolution, resolve_ideal, resolve_quotient
 from nodal.validators import (
@@ -412,8 +417,9 @@ def test_criterion_10_engine_property_suites():
         if not (I.contains(inside) and oracles.member(inside, gens)):
             failures.append(("membership-inside", seed))
 
-    # (b) composite-zero and alternating Hilbert checks; these run inside
-    # every resolution build, re-run explicitly here on fresh samples
+    # (b) composite-zero checks and the exact series identity; these run
+    # inside every resolution build, re-run explicitly here on fresh samples:
+    # S/I has the numerator N of its basis's leads, and I has 1 - N
     samples = [
         Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"]),
         determinantal_points(2, seed=0, ring=ring),
@@ -421,10 +427,11 @@ def test_criterion_10_engine_property_suites():
     for name, spec in list(_curve_specs())[:2]:
         samples.append(conductor_from_components(spec).conductor)
     for I in samples:
+        N = I.gb().hilbert_numerator
         res = resolve_quotient(I)
-        _verify_resolution(res, I.quotient_dim)  # raises on violation
+        _verify_resolution(res, N)  # raises on violation
         res2 = resolve_ideal(I)
-        _verify_resolution(res2, I.graded_dim)
+        _verify_resolution(res2, _numerator_sum((1, (1,)), (-1, N)))
 
     # (c) saturation idempotence and colon round-trips, 50 seeded instances
     m = irrelevant_ideal(ring)

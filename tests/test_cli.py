@@ -1,4 +1,5 @@
 """End-to-end command line tests driving main() directly."""
+import collections
 import functools
 import gc
 import hashlib
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nodal import cli
+from nodal import cli, groebner, ideals
 from nodal.cli import main
 from nodal.report import VerdictReport
 from nodal.validators import STATEMENTS
@@ -237,6 +238,13 @@ class TestVerify:
     def test_neither_statement_nor_all(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("component", ["-1", "5"])
+    def test_component_out_of_range_refused(self, component, capsys):
+        # the built example has two components, 0 and 1
+        args = ["verify", "--statement", "component-sequence"]
+        assert main(args + ["--component", component]) == 2
+        assert "component must lie in 0..1" in capsys.readouterr().err
+
     def test_unknown_statement_lists_ids(self, capsys):
         assert main(["verify", "--statement", "nonsense"]) == 2
         err = capsys.readouterr().err
@@ -282,6 +290,52 @@ class TestCorpus:
             assert all(r() is None for r in rings)
         finally:
             gc.enable()
+
+    def test_numerators_computed_once_per_cache_entry(self, monkeypatch, capsys):
+        # a basis rebuilt from its cache entry reads the leads and Hilbert
+        # numerator the entry keeps; tallied on a warm pass, after a first one
+        assert main(["corpus", str(FIXTURES)]) == 0
+        init = groebner._CacheEntry.__init__
+        basis = groebner._CacheEntry.basis
+        prop = groebner.GroebnerBasis.hilbert_numerator
+        compute = ideals.hilbert_numerator
+        reading = []  # the basis whose numerator is being read
+        computed = collections.Counter()  # cache entry -> computations
+        rebuilds = []
+
+        def tagging_init(entry, gb):
+            init(entry, gb)
+            gb.entry = entry
+
+        def tagging_basis(entry):
+            gb = basis(entry)
+            if not hasattr(gb, "entry"):
+                rebuilds.append(entry)
+                gb.entry = entry
+            return gb
+
+        def reading_numerator(gb):
+            reading.append(gb)
+            try:
+                return prop.fget(gb)
+            finally:
+                reading.pop()
+
+        def counting(leads):
+            if reading and hasattr(reading[-1], "entry"):
+                computed[reading[-1].entry] += 1
+            return compute(leads)
+
+        monkeypatch.setattr(groebner._CacheEntry, "__init__", tagging_init)
+        monkeypatch.setattr(groebner._CacheEntry, "basis", tagging_basis)
+        monkeypatch.setattr(
+            groebner.GroebnerBasis, "hilbert_numerator", property(reading_numerator)
+        )
+        monkeypatch.setattr(ideals, "hilbert_numerator", counting)
+        assert main(["corpus", str(FIXTURES)]) == 0
+        assert computed and set(computed.values()) == {1}
+        # rebuilt bases asked again and found the entry's numerator
+        assert len(rebuilds) > len(computed)
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2

@@ -456,6 +456,25 @@ class TestHilbertNumerator:
                 want = oracles.mono_quotient_dim(gens, n, e)
                 assert self._series(numerator, n, e) == want, (gens, e)
 
+    def test_codimension_matches_variable_cover(self):
+        # the multiplicity of t = 1 as a root of N against the smallest cover
+        # of the leads by variables, the zero and the unit ideal included
+        rng = random.Random(29)
+        cases = [(n, gens) for n in (2, 3, 4) for gens in ([], [(0,) * n])]
+        for _ in range(40):
+            n = rng.randrange(2, 5)
+            gens = [
+                tuple(rng.randrange(3) for _ in range(n))
+                for _ in range(rng.randrange(1, 6))
+            ]
+            cases.append((n, gens))
+        for n, gens in cases:
+            ring = Ring(",".join(f"x{i}" for i in range(n)))
+            ideal = Ideal(ring, [Polynomial(ring, {m: 1}) for m in gens])
+            want = oracles.codimension_by_cover(gens, n)
+            assert codimension(ideal) == want, gens
+            assert ideals._root_multiplicity(hilbert_numerator(gens), n + 1) == want
+
     def test_known_values(self):
         assert hilbert_numerator([]) == (1,)
         assert hilbert_numerator([(0, 0, 0)]) == ()
@@ -512,6 +531,12 @@ class TestFiniteSchemes:
     def test_scheme_length_fat_point(self, ring):
         a = Ideal.parse(ring, ["x1^2", "x1*x2", "x2^2"])
         assert scheme_length(a) == 3
+
+    def test_scheme_length_of_a_curve_refused(self, ring):
+        # the function of a conic, 2e + 1, never repeats; the scan stops at
+        # degree len(N) + 1 = 4
+        with pytest.raises(InvariantViolation, match="did not stabilize"):
+            scheme_length(Ideal.parse(ring, ["x0^2 + x1*x2"]))
 
     def test_scheme_length_one_point(self, ring):
         assert scheme_length(Ideal.parse(ring, ["x1", "x2"])) == 1

@@ -9,6 +9,7 @@ from nodal.curves import conductor_nodal, jacobian_ideal, parse_fixture
 from nodal.groebner import FreeModuleShape, ModuleElement
 from nodal.ideals import (
     Ideal,
+    _series_coefficient,
     ideal_product,
     intersect,
     points_are_reduced,
@@ -17,7 +18,6 @@ from nodal.ideals import (
 )
 from nodal.resolution import (
     _resolve,
-    free_graded_dim,
     resolve_ideal,
     resolve_presented,
     resolve_quotient,
@@ -154,20 +154,14 @@ class TestQuotientModules:
 
     @staticmethod
     def product_modulo_diagonal(ring):
-        # (S/x0 x S/x1) / S, which is S/(x0, x1)
-        x0, x1 = ring.gen(0), ring.gen(1)
-        total = Ideal(ring, [x0 * x1])
-        parts = [Ideal(ring, [x0]), Ideal(ring, [x1])]
-
-        def hf(e):
-            return sum(q.quotient_dim(e) for q in parts) - total.quotient_dim(e)
-
-        return x0, x1, hf
+        # (S/x0 x S/x1) / S, which is S/(x0, x1): its Hilbert numerator is
+        # 2(1 - t) - (1 - t^2) = (1 - t)^2
+        return ring.gen(0), ring.gen(1), (1, -2, 1)
 
     def test_product_modulo_diagonal_refused(self, ring):
         # generators e1, e2, relations x0*e1, x1*e2 and the unit relation
         # e1 + e2: not a minimal presentation
-        x0, x1, hf = self.product_modulo_diagonal(ring)
+        x0, x1, numerator = self.product_modulo_diagonal(ring)
         shape = FreeModuleShape(2, (0, 0))
         zero, one = ring.zero(), ring.one()
         rels = [
@@ -176,14 +170,14 @@ class TestQuotientModules:
             ModuleElement.from_polynomials(shape, [one, one]),
         ]
         with pytest.raises(ValueError, match="unit entry"):
-            resolve_presented(ring, (0, 0), rels, hf)
+            resolve_presented(ring, (0, 0), rels, numerator)
 
     def test_product_modulo_diagonal_minimal(self, ring):
         # e1 = -e2 leaves one generator with relations x0 and x1
-        x0, x1, hf = self.product_modulo_diagonal(ring)
+        x0, x1, numerator = self.product_modulo_diagonal(ring)
         shape = FreeModuleShape(1, (0,))
         rels = [ModuleElement.from_polynomials(shape, [f]) for f in (x0, x1)]
-        res = resolve_presented(ring, (0,), rels, hf)
+        res = resolve_presented(ring, (0,), rels, numerator)
         assert res.twists == ((0,), (1, 1), (2,))
 
     @pytest.mark.parametrize(
@@ -212,12 +206,28 @@ class TestQuotientModules:
         assert seen == [twists]
 
     def test_presented_free_module(self, ring):
-        def hf(e):
-            return free_graded_dim(ring.nvars, (0, 2), e)
-
-        res = resolve_presented(ring, (0, 2), [], hf)
+        # S + S(-2) has numerator 1 + t^2
+        res = resolve_presented(ring, (0, 2), [], (1, 0, 1))
         assert res.twists == ((0, 2),)
         assert res.maps == ()
+
+    def test_numerator_checked_past_the_window(self, ring):
+        # an extra t^5 leaves the Hilbert function of S + S(-2) unchanged
+        # through degree 4, the largest twist plus 2, so a degreewise check
+        # on that window would accept it; the numerators differ
+        n = ring.nvars
+        good, bad = (1, 0, 1), (1, 0, 1, 0, 0, 1)
+        window = range(5)
+        assert [_series_coefficient(bad, n, e) for e in window] == [
+            _series_coefficient(good, n, e) for e in window
+        ]
+        with pytest.raises(InvariantViolation, match="Hilbert numerator"):
+            resolve_presented(ring, (0, 2), [], bad)
+
+    def test_negative_twist_refused(self, ring):
+        # a numerator has no negative powers of t to hold S(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            resolve_presented(ring, (-1,), [], (0, 1))
 
 
 def fixture_ideals(path):
@@ -263,7 +273,7 @@ class TestMinimization:
         plain = FreeModuleShape.plain(1)
         rels = [ModuleElement.from_polynomials(plain, [g]) for g in gens]
         with pytest.raises(InvariantViolation, match="resolution not minimal"):
-            _resolve(ring, (0,), rels, tri.quotient_dim, 40)
+            _resolve(ring, (0,), rels, tri.gb().hilbert_numerator, 40)
 
 
 class TestHilbert:
@@ -295,13 +305,26 @@ class TestHilbert:
         square = ideal_product(tri, tri)
         data = hilbert_function(square)
         assert data.values[0] == 1
-        # routes already cross-checked internally; spot check the window size
+        # the resolution was checked against N when built; spot check the
+        # window size
         assert len(data.values) >= 7
 
-    def test_free_dim(self):
-        assert free_graded_dim(3, (0,), 4) == 15
-        assert free_graded_dim(3, (2, 3), 3) == 4
-        assert free_graded_dim(3, (5,), 4) == 0
+    def test_resolution_numerator(self, ring):
+        # 1 - 3t^2 + 2t^3 for three points; 3t^2 - 2t^3 for their ideal
+        tri = Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"])
+        assert resolve_quotient(tri).numerator == (1, 0, -3, 2)
+        assert resolve_ideal(tri).numerator == (0, 0, 3, -2)
+        assert tri.gb().hilbert_numerator == (1, 0, -3, 2)
+        # S itself and the zero module, from the zero and the unit ideal
+        assert resolve_quotient(Ideal(ring, ())).numerator == (1,)
+        assert resolve_ideal(Ideal(ring, ())).numerator == ()
+        assert resolve_quotient(Ideal.parse(ring, ["x0", "x0 + 1"])).numerator == ()
+
+    def test_supplied_resolution_must_be_of_the_ideal(self, ring):
+        tri = Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"])
+        other = resolve_quotient(Ideal.parse(ring, ["x0", "x1"]))
+        with pytest.raises(InvariantViolation, match="not one of S/I"):
+            hilbert_function(tri, resolution=other)
 
 
 class TestReport:
