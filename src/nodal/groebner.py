@@ -8,14 +8,14 @@ which are reduced against them by forward substitution before only they go
 through `linalg.rref`.  Homogeneous input, ideals and submodules alike,
 yields the reduced basis with no interreduction pass; inhomogeneous input
 is homogenized with one more variable h, run the same way, set to h = 1 and
-interreduced (`_homogenized_gb`).  Syzygies are read off the basis of the
-rows (g_i | e_i), through the same dispatch and cache.
+interreduced (`_homogenized_gb`).  One elimination, `_eliminate`, gives
+syzygies, intersections and colons through the same dispatch and cache.
 
 Minimal generators of homogeneous input come out of the same Macaulay run,
 with no elimination of their own: in each degree the engine marks the new
 basis elements whose leads the S-pair rows of that degree do not reach, and
 the basis carries the marks (`GroebnerBasis.minimal`).  `Ideal.minimal_gens`,
-`syzygy_generators` and `resolution.resolve_presented` read them.
+`_eliminate` and `resolution.resolve_presented` read them.
 
 Terms of a module element are keyed (component, monomial) and compared through
 integer keys, see ring.py.  Component twists record generator degrees, so the
@@ -698,8 +698,8 @@ def macaulay_module_gb(
 ) -> GroebnerBasis:
     """Reduced basis of a homogeneous submodule by degreewise row reduction.
 
-    _minimal_from is for `syzygy_generators` alone: the marks then count only
-    the submodule with no term below that component (see `_macaulay_engine`).
+    _minimal_from is for `_eliminate` alone: the marks then count only the
+    submodule with no term below that component (see `_macaulay_engine`).
     """
     gens = [z for z in gens if z]
     if not gens:
@@ -789,8 +789,8 @@ def groebner_basis(
     Homogeneous input goes to `macaulay_gb` (ideals) or `macaulay_module_gb`
     (submodules); anything else is homogenized into the same engine
     (`_homogenized_gb`).  Zero generators are skipped, and input of zeros
-    alone has the empty basis.  _minimal_from is for `syzygy_generators`
-    alone and passes to `macaulay_module_gb`.
+    alone has the empty basis.  _minimal_from is for `_eliminate` alone
+    and passes to `macaulay_module_gb`.
 
     Each ring caches the bases computed over it, keyed by the order's name,
     the cap, the module shape (rank one for polynomials), _minimal_from,
@@ -881,7 +881,28 @@ def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
 
 
 # ---------------------------------------------------------------------------
-# Syzygies
+# Elimination: syzygies, intersections and colons
+
+
+def _eliminate(rows, k: int, cap: int):
+    """The submodule of the rows with no term below component k (Cox, Little
+    and O'Shea, Ideals, Varieties, and Algorithms, ch. 4).
+
+    Under position over term a basis element led in component k or later has
+    no term below k, so these elements are that submodule's reduced basis.
+    Their leads are the smallest, so they come first, and the engine's marks
+    for minimal_from = k index them as they are.  Returns them moved down k
+    components and the marks, None when the rows are inhomogeneous.
+    """
+    ring, shape = rows[0].ring, rows[0].shape
+    gb = groebner_basis(rows, cap=cap, _minimal_from=k)  # position over term
+    rest = FreeModuleShape(shape.rank - k, shape.twists[k:])
+    out = [
+        ModuleElement(ring, rest, {(c - k, t): v for (c, t), v in z.terms.items()})
+        for z in gb.elements
+        if all(c >= k for c, _ in z.terms)
+    ]
+    return out, gb.minimal
 
 
 def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
@@ -890,13 +911,9 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
     Schreyer's theorem read as elimination (Eisenbud, Commutative Algebra,
     Thm 15.10): the rows (g_i | e_i), g_i in components 0..k-1 and the unit
     e_i in component k + i twisted by deg g_i, span {(sum a_i g_i | a)}, whose
-    elements with no g part are the syzygies.  Position over term eliminates
-    the components below k, so the reduced basis elements with no term there
-    generate them.  `groebner_basis` computes that basis, with its cache; the
-    cap bounds monomial degree.  For homogeneous input the engine marks the
-    basis elements that minimally generate the syzygies (its marks count
-    components k and later only), and they are returned sorted.  Unmarked,
-    inhomogeneous input returns every syzygy basis element, in basis order.
+    elements with no g part are the syzygies (`_eliminate`).  Homogeneous
+    input returns the marked, minimal ones sorted; inhomogeneous input every
+    syzygy basis element, in basis order.
     """
     gens = list(gens)
     if not gens:
@@ -905,8 +922,7 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
         plain = FreeModuleShape.plain(1)
         gens = [ModuleElement.from_polynomials(plain, [f]) for f in gens]
     _check_gens(gens)
-    ring = gens[0].ring
-    shape = gens[0].shape
+    ring, shape = gens[0].ring, gens[0].shape
     k, m = shape.rank, len(gens)
     twists = tuple(
         (z.module_degree() or 0) if z.is_homogeneous() else 0 for z in gens
@@ -917,21 +933,11 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
         ModuleElement(ring, rows_shape, {**z.terms, (k + i, one): 1})
         for i, z in enumerate(gens)
     ]
-    order = PositionOverTerm(ring.grevlex, k + m)
-    gb = groebner_basis(rows, order, cap, _minimal_from=k)
-    marked = gb.minimal is not None
-    if marked:
-        found = gb.minimal_elements()
-    else:
-        found = [z for z in gb.elements if all(c >= k for c, _ in z.terms)]
-    tshape = FreeModuleShape(m, twists)
-    out = [
-        ModuleElement(ring, tshape, {(c - k, t): v for (c, t), v in z.terms.items()})
-        for z in found
-    ]
-    if marked:
-        key_order = PositionOverTerm(ring.grevlex, tshape.rank)
-        out.sort(
-            key=lambda z: (z.module_degree(), sorted(map(key_order.key, z.terms)))
-        )
-    return out
+    out, marks = _eliminate(rows, k, cap)
+    if marks is None:
+        return out
+    key_order = PositionOverTerm(ring.grevlex, m)
+    return sorted(
+        (out[i] for i in marks),
+        key=lambda z: (z.module_degree(), sorted(map(key_order.key, z.terms))),
+    )

@@ -1,6 +1,6 @@
-"""Ideal operations: sums, products, intersections, colons, saturation,
-codimension, Hilbert series of monomial ideals, and the reducedness
-certificate for point schemes.
+"""Ideal operations: sums, products, intersections and colons (one
+elimination each, `groebner._eliminate`), saturation, codimension, Hilbert
+series of monomial ideals, and the reducedness certificate for point schemes.
 
 Saturation by the irrelevant ideal m is the workhorse of the conductor
 pipelines, so it avoids colon iterations.  In a graded reverse lexicographic
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement
 from operator import le
 
@@ -32,7 +32,7 @@ from .groebner import (
     FreeModuleShape,
     GroebnerBasis,
     ModuleElement,
-    PositionOverTerm,
+    _eliminate,
     _store_basis,
     groebner_basis,
     normal_form,
@@ -163,68 +163,62 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 # Intersection and colon
 
 
-def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """a ∩ b by elimination inside a rank-2 free module.
+def _last_component(rows, cap: int) -> Ideal:
+    """The ideal the rows' submodule meets the last coordinate axis in, by
+    `_eliminate`.  With marks it holds its reduced grevlex basis; unmarked,
+    it holds none, since homogeneous elements need a marked basis."""
+    ring = rows[0].ring
+    out, marks = _eliminate(rows, rows[0].shape.rank - 1, cap)
+    gens = tuple(z.component(0) for z in out)
+    if marks is None:
+        return Ideal(ring, gens)
+    gb = GroebnerBasis(ring, FreeModuleShape.plain(1), ring.grevlex, gens, marks)
+    return _holding(gb, cap)
 
-    The submodule generated by (f, f) for f in a and (g, 0) for g in b meets
-    the second coordinate axis exactly in a ∩ b: writing (0, h) as a
-    combination forces h into a through the second coordinate and into b
-    through the first.  Under position-over-term with the first component
-    most expensive, basis elements led in the second component carry no
-    first-component part at all, so the axis slice falls straight out.  This
-    holds for any global order, so inhomogeneous pairs take the same route
-    (groebner_basis homogenizes them for its engine).
-    """
+
+def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+    """a ∩ b: the rows (f, f) for f in a and (g, 0) for g in b meet the
+    second coordinate axis exactly in it, as writing (0, h) forces h into a
+    through the second coordinate and into b through the first."""
     if a.ring != b.ring:
         raise InvariantViolation("intersection across different rings")
     ring = a.ring
     if a.is_zero() or b.is_zero():
         return Ideal(ring, ())
-    shape = FreeModuleShape(2, (0, 0))
-    zero = ring.zero()
-    gens = [ModuleElement.from_polynomials(shape, [f, f]) for f in a.gens]
-    gens += [ModuleElement.from_polynomials(shape, [g, zero]) for g in b.gens]
-    order = PositionOverTerm(ring.grevlex, 2)
-    gb = groebner_basis(gens, order, cap)
-    kept = [z.component(1) for z in gb.elements if not z.component(0)]
-    return Ideal(ring, kept)
-
-
-def quotient_by_poly(a: Ideal, f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """Colon a : (f) by the rank-2 construction `intersect` uses.
-
-    The submodule generated by (f, 1) and (g, 0) for g in a meets the second
-    coordinate axis exactly in a : f: an element (h f + sum c_g g, h) has
-    zero first coordinate exactly when h f lies in a.  The second component
-    is twisted by deg f when f is homogeneous, so homogeneous input stays
-    homogeneous; otherwise groebner_basis homogenizes the rows for its engine.
-    """
-    ring = a.ring
-    if not f:
-        return Ideal(ring, [ring.one()])
-    if a.is_zero():
-        return Ideal(ring, ())
-    twist = f.homogeneous_degree() if f.is_homogeneous() else 0
-    shape = FreeModuleShape(2, (0, twist))
-    zero, one = ring.zero(), ring.one()
-    gens = [ModuleElement.from_polynomials(shape, [f, one])]
-    gens += [ModuleElement.from_polynomials(shape, [g, zero]) for g in a.gens]
-    gb = groebner_basis(gens, PositionOverTerm(ring.grevlex, 2), cap)
-    kept = [z.component(1) for z in gb.elements if not z.component(0)]
-    return Ideal(ring, kept)
+    shape, zero = FreeModuleShape.plain(2), ring.zero()
+    rows = [ModuleElement.from_polynomials(shape, [f, f]) for f in a.gens]
+    rows += [ModuleElement.from_polynomials(shape, [g, zero]) for g in b.gens]
+    return _last_component(rows, cap)
 
 
 def quotient(a: Ideal, b, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
-    """Colon a : b for b a polynomial or an ideal."""
-    if isinstance(b, Polynomial):
-        return quotient_by_poly(a, b, cap)
-    if b.is_zero():
-        return Ideal(a.ring, [a.ring.one()])
-    acc = None
-    for g in b.gens:
-        cur = quotient_by_poly(a, g, cap)
-        acc = cur if acc is None else intersect(acc, cur, cap)
-    return acc
+    """Colon a : b for b = (g_1, ..., g_k) or one polynomial, in one basis.
+
+    The rows (g_1, ..., g_k | 1) and f e_j for f in a and j < k meet the last
+    coordinate axis exactly in a : b, as (h g_1 + ..., ..., h g_k + ... | h)
+    vanishes in the first k components exactly when every h g_j lies in a.
+    For homogeneous b, twisting component j by top - deg g_j and the last by
+    top = max deg g_j keeps homogeneous input homogeneous.
+    """
+    ring = a.ring
+    gs = [g for g in ([b] if isinstance(b, Polynomial) else b.gens) if g]
+    if not gs:
+        return Ideal(ring, [ring.one()])
+    if a.is_zero():
+        return Ideal(ring, ())
+    k = len(gs)
+    twists = (0,) * (k + 1)
+    if all(g.is_homogeneous() for g in gs):
+        top = max(g.homogeneous_degree() for g in gs)
+        twists = tuple(top - g.homogeneous_degree() for g in gs) + (top,)
+    shape = FreeModuleShape(k + 1, twists)
+    zero = [ring.zero()] * k
+    rows = [ModuleElement.from_polynomials(shape, gs + [ring.one()])]
+    rows += [
+        ModuleElement.from_polynomials(shape, zero[:j] + [f] + zero[j:])
+        for j in range(k) for f in a.gens
+    ]
+    return _last_component(rows, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +344,17 @@ def _rotated_grevlex(n: int, var: int) -> Grevlex:
 def _divide_out(gb: GroebnerBasis, var: int) -> tuple[list[Polynomial], bool]:
     """Generators of the full colon by x_var^∞, from the reduced basis of a
     homogeneous ideal under an order whose cheapest variable is x_var."""
-    stripped = []
-    changed = False
-    for g in gb.elements:
-        h, v = _strip_var(g, var)
-        changed = changed or v > 0
-        stripped.append(h)
-    return stripped, changed
+    pairs = [_strip_var(g, var) for g in gb.elements]
+    return [h for h, _ in pairs], any(v for _, v in pairs)
+
+
+def _divided_numerator(gb: GroebnerBasis, var: int) -> tuple[int, ...]:
+    """N(t) of gb's leads with x_var divided out, kept in gb's memo."""
+    key = ("divided", var)
+    if key not in gb.derived:
+        leads = [m[:var] + (0,) + m[var + 1 :] for m in gb.lead_monomials()]
+        gb.derived[key] = hilbert_numerator(leads)
+    return gb.derived[key]
 
 
 def _holding(gb: GroebnerBasis, cap: int) -> Ideal:
@@ -409,16 +407,11 @@ def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
                 _store_basis(gb, cap, basis.elements)
             return _holding(basis, cap)
         colon = Ideal(ring, stripped)
-        leads = [m[:var] + (0,) + m[var + 1 :] for m in gb.lead_monomials()]
-        if _same_hilbert_polynomial(
-            hilbert_numerator(leads), gb.hilbert_numerator, n
-        ):
+        numerator = _divided_numerator(gb, var)
+        if _same_hilbert_polynomial(numerator, gb.hilbert_numerator, n):
             return _holding(colon.gb(cap=cap), cap)
         parts.append(colon)
-    meet = parts[0]
-    for part in parts[1:]:
-        meet = intersect(meet, part, cap)
-    return _holding(meet.gb(cap=cap), cap)
+    return reduce(lambda meet, part: intersect(meet, part, cap), parts)
 
 
 def saturate(a: Ideal, b: Ideal | None = None, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:

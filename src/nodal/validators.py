@@ -42,7 +42,7 @@ from .ideals import (
     ideal_sum,
     indeg,
     intersect,
-    quotient_by_poly,
+    quotient,
     saturate,
     scheme_length,
     symbolic_square,
@@ -235,7 +235,7 @@ def linkage_regularity(forms, cap: int = DEFAULT_DEGREE_CAP) -> VerdictReport:
     d1, d2, d3 = (f.homogeneous_degree() for f in forms)
     direct = resolve_quotient(I, cap).regularity()
     reg_a = resolve_quotient(a, cap).regularity()
-    colon = quotient_by_poly(a, f3, cap)
+    colon = quotient(a, f3, cap)
     by_colon = reg_a - _quotient_indeg(a, colon, reg_a)
 
     computed: dict = {

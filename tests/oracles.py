@@ -7,7 +7,8 @@ The one piece of Groebner machinery is `buchberger`, a reference basis by
 Buchberger's pair loop on term dicts.  It shares the pair criteria
 (`_new_pairs`), division and interreduction with `nodal.groebner`, but none
 of the Macaulay engine: no packed terms, no symbolic preprocessing, no
-matrices.
+matrices.  `quotient_by_loop` is a reference route, not an independent
+oracle: a different module construction on the same engine.
 """
 from __future__ import annotations
 
@@ -30,7 +31,9 @@ from nodal.groebner import (
     _make_gel,
     _new_pairs,
     _normal_form_dict,
+    groebner_basis,
 )
+from nodal.ideals import Ideal, intersect
 from nodal.ring import (
     Mono,
     Polynomial,
@@ -442,6 +445,31 @@ def minimal_module_generators(elements):
         V = reduce_rows(R, piv, mat[-len(cands) :], p)
         kept.extend(cands[i] for i in linalg.rref(V.T, p)[1])
     return [obj for _, _, obj in kept]
+
+
+def quotient_by_loop(a, b, cap: int = DEFAULT_DEGREE_CAP):
+    """Colon a : b as the intersection of the colons by each generator of b,
+    2k - 1 module bases for k generators where `ideals.quotient` takes one.
+
+    The colon by one polynomial g is a rank-2 elimination: the submodule
+    generated by (g, 1) and (f, 0) for f in a meets the second coordinate
+    axis exactly in a : g.  The second component is twisted by deg g when g
+    is homogeneous, so homogeneous input stays homogeneous.
+    """
+    ring = a.ring
+    gens = [b] if isinstance(b, Polynomial) else list(b.gens)
+    order = PositionOverTerm(ring.grevlex, 2)
+    zero, one = ring.zero(), ring.one()
+    acc = None
+    for g in gens:
+        twist = g.homogeneous_degree() if g.is_homogeneous() else 0
+        shape = FreeModuleShape(2, (0, twist))
+        rows = [ModuleElement.from_polynomials(shape, [g, one])]
+        rows += [ModuleElement.from_polynomials(shape, [f, zero]) for f in a.gens]
+        gb = groebner_basis(rows, order, cap)
+        cur = Ideal(ring, [z.component(1) for z in gb.elements if not z.component(0)])
+        acc = cur if acc is None else intersect(acc, cur, cap)
+    return acc
 
 
 # ---------------------------------------------------------------------------

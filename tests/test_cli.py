@@ -337,6 +337,43 @@ class TestCorpus:
         # rebuilt bases asked again and found the entry's numerator
         assert len(rebuilds) > len(computed)
 
+    def test_divided_numerators_computed_once_per_cache_entry(self, monkeypatch):
+        # saturation's divided-out lead numerator sits in the rotated basis's
+        # memo; tallied per cache entry on a warm pass, after a first one
+        assert main(["corpus", str(FIXTURES)]) == 0
+        init = groebner._CacheEntry.__init__
+        divided = ideals._divided_numerator
+        compute = ideals.hilbert_numerator
+        reading = []  # the basis whose divided-out numerator is being read
+        asked = collections.Counter()  # cache entry -> reads
+        computed = collections.Counter()  # cache entry -> computations
+
+        def tagging_init(entry, gb):
+            init(entry, gb)
+            gb.derived["entry"] = entry
+
+        def reading_divided(gb, var):
+            reading.append(gb)
+            asked[gb.derived.get("entry")] += 1
+            try:
+                return divided(gb, var)
+            finally:
+                reading.pop()
+
+        def counting(leads):
+            if reading:
+                computed[reading[-1].derived.get("entry")] += 1
+            return compute(leads)
+
+        monkeypatch.setattr(groebner._CacheEntry, "__init__", tagging_init)
+        monkeypatch.setattr(ideals, "_divided_numerator", reading_divided)
+        monkeypatch.setattr(ideals, "hilbert_numerator", counting)
+        assert main(["corpus", str(FIXTURES)]) == 0
+        assert None not in asked  # every rotated basis has a cache entry
+        assert computed and set(computed.values()) == {1}
+        # entries asked again found their numerator
+        assert sum(asked.values()) > len(computed)
+
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2
         assert "no .fix fixtures" in capsys.readouterr().err

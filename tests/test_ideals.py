@@ -26,7 +26,6 @@ from nodal.ideals import (
     irrelevant_ideal,
     points_are_reduced,
     quotient,
-    quotient_by_poly,
     saturate,
     scheme_length,
     symbolic_square,
@@ -280,7 +279,7 @@ class TestQuotient:
                 m = tuple(rng.randrange(3) for _ in range(3))
                 if any(m):
                     break
-            got = lead_set(quotient_by_poly(a, ring.monomial(m)))
+            got = lead_set(quotient(a, ring.monomial(m)))
             want = oracles.mono_colon([g.lead_monomial() for g in a.gens], m)
             assert got == want
 
@@ -288,7 +287,7 @@ class TestQuotient:
         rng = random.Random(19)
         f = ring.random_form(2, rng)
         g = ring.random_form(3, rng)
-        back = quotient_by_poly(Ideal(ring, [f * g]), f)
+        back = quotient(Ideal(ring, [f * g]), f)
         assert back.same_ideal(Ideal(ring, [g]))
 
     def test_self_colon_is_unit(self, ring):
@@ -302,11 +301,121 @@ class TestQuotient:
         assert quotient(a, b).same_ideal(Ideal.parse(ring, ["x0"]))
 
     def test_colon_by_inhomogeneous_poly(self, ring):
-        # (f*g) : f = (g) with f inhomogeneous, through Buchberger
+        # (f*g) : f = (g) with f inhomogeneous, homogenized into the engine
         f = ring.parse("x0^2 + x1 + 1")
         g = ring.parse("x1*x2 - x0")
-        back = quotient_by_poly(Ideal(ring, [f * g, f * ring.parse("x2")]), f)
+        back = quotient(Ideal(ring, [f * g, f * ring.parse("x2")]), f)
         assert back.same_ideal(Ideal(ring, [g, ring.parse("x2")]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_loop_homogeneous(self, ring, k):
+        # a = J * (b + (h)) has a : b containing J, usually strictly
+        rng = random.Random(f"colon-h:{k}")
+        grew = 0
+        for _ in range(4):
+            b = _random_forms(ring, rng, k, 1, 2)
+            J = _random_forms(ring, rng, 2, 1, 2)
+            h = Ideal(ring, [ring.random_form(2, rng)])
+            a = ideal_product(J, ideal_sum(b, h))
+            got = quotient(a, b)
+            assert got.gens == oracles.quotient_by_loop(a, b).gens
+            assert got.contains_ideal(J)
+            grew += not a.contains_ideal(got)
+        assert grew
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_loop_inhomogeneous(self, ring, k):
+        # three affine points, b vanishing at the first: a : b drops it
+        rng = random.Random(f"colon-i:{k}")
+        pts = [tuple(rng.randrange(ring.p) for _ in range(3)) for _ in range(3)]
+        mp, mq, mr = (affine_point_ideal(ring, pt) for pt in pts)
+        a = intersect(intersect(mp, mq), mr)
+        gens = []
+        for _ in range(k):
+            terms = [g * ring.random_form(rng.randint(0, 1), rng) for g in mp.gens]
+            gens.append(sum(terms, ring.zero()))
+        got = quotient(a, Ideal(ring, gens))
+        assert got.gens == oracles.quotient_by_loop(a, Ideal(ring, gens)).gens
+        assert got.same_ideal(intersect(mq, mr))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_monomial_colon_by_ideal_oracle(self, ring, k):
+        # a : (m_1, ..., m_k) is the intersection of the colons a : m_j
+        rng = random.Random(f"colon-m:{k}")
+        for _ in range(6):
+            a = monomial_ideal(ring, rng)
+            b = monomial_ideal(ring, rng, count=k, maxdeg=2)
+            leads = [g.lead_monomial() for g in a.gens]
+            want = None
+            for g in b.gens:
+                cur = oracles.mono_colon(leads, g.lead_monomial())
+                want = cur if want is None else oracles.mono_intersect(want, cur)
+            assert lead_set(quotient(a, b)) == want
+
+    def test_colon_by_ideal_is_one_basis(self, ring, monkeypatch):
+        rng = random.Random(23)
+        b = Ideal(ring, [ring.random_form(d, rng) for d in (1, 2, 2)])
+        a = ideal_product(b, Ideal(ring, [ring.random_form(2, rng)]))
+        runs = _count_engine_runs(monkeypatch)
+        got = quotient(a, b)
+        assert len(runs) == 1
+        monkeypatch.undo()
+        assert got.gens == oracles.quotient_by_loop(a, b).gens
+
+
+def _random_forms(ring, rng, count, low, high):
+    """The ideal of `count` random forms of degrees between low and high."""
+    return Ideal(
+        ring, [ring.random_form(rng.randint(low, high), rng) for _ in range(count)]
+    )
+
+
+def _count_engine_runs(monkeypatch) -> list:
+    """Record every Macaulay engine run from here on."""
+    runs = []
+    engine = groebner._macaulay_engine
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_macaulay_engine", counted)
+    return runs
+
+
+class TestHeldBasis:
+    """Intersections and colons of homogeneous input hold their basis."""
+
+    def test_held_basis_is_the_computed_basis(self, ring, monkeypatch):
+        rng = random.Random(41)
+        for _ in range(6):
+            a = _random_forms(ring, rng, 2, 1, 3)
+            b = _random_forms(ring, rng, 2, 1, 3)
+            for held in (intersect(a, b), quotient(ideal_product(a, b), b)):
+                runs = _count_engine_runs(monkeypatch)
+                gb = held.gb()
+                held.minimal_gens()
+                assert runs == []
+                monkeypatch.undo()
+                ring.basis_cache.clear()
+                fresh = groebner.groebner_basis(list(gb.elements))
+                assert fresh.elements == gb.elements
+                assert fresh.minimal == gb.minimal
+
+    def test_minimal_gens_of_a_meet_is_one_run(self, ring, monkeypatch):
+        rng = random.Random(43)
+        a = Ideal(ring, [ring.random_form(2, rng), ring.random_form(3, rng)])
+        b = Ideal(ring, [ring.random_form(1, rng), ring.random_form(2, rng)])
+        runs = _count_engine_runs(monkeypatch)
+        intersect(a, b).minimal_gens()
+        assert len(runs) == 1
+
+    def test_inhomogeneous_rows_homogeneous_meet(self, ring):
+        # the rows are inhomogeneous, so the basis is unmarked and not held;
+        # the meet (x0) is homogeneous and finds its own marked basis
+        a = Ideal.parse(ring, ["x0", "x1 + 1"])
+        x0 = ring.parse("x0")
+        assert intersect(a, Ideal(ring, [x0])).minimal_gens() == [x0]
 
 
 class TestSaturation:
@@ -341,8 +450,8 @@ class TestSaturation:
                 cur = point_ideal(ring, pt)
                 prod = cur if prod is None else ideal_product(prod, cur)
             sat = saturate(prod)
-            # the saturation is colon-stable, checked by colons of single
-            # generators (quotient_by_poly), not by the divide-out route
+            # the saturation is colon-stable, checked by the colon by m in
+            # one module basis (quotient), not by the divide-out route
             assert quotient(sat, irrelevant_ideal(ring)).same_ideal(sat)
             assert sat.contains_ideal(prod)
             # and it is the full ideal of the points: the intersection
