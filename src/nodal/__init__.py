@@ -19,6 +19,7 @@ from .errors import (
     RingMismatchError,
 )
 from .ring import (
+    DEFAULT_DEGREE_CAP,
     Grevlex,
     Lex,
     Polynomial,
@@ -26,7 +27,6 @@ from .ring import (
     parse_polynomial,
 )
 from .groebner import (
-    DEFAULT_DEGREE_CAP,
     FreeModuleShape,
     GroebnerBasis,
     ModuleElement,

@@ -29,12 +29,11 @@ from .errors import (
     ParseError,
     RetryBudgetExceeded,
 )
-from .groebner import DEFAULT_DEGREE_CAP
 from .hilbert import cm_regularity_crosscheck, hilbert_function
 from .ideals import Ideal
 from .report import betti_table
 from .resolution import resolve_quotient
-from .ring import check_characteristic, check_degree_cap
+from .ring import DEFAULT_DEGREE_CAP, check_characteristic, check_degree_cap
 from .validators import STATEMENTS, run_statement
 
 SCHEMA = 1
@@ -104,12 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_fixture(path: Path, prime: int | None):
+def _load_fixture(path: Path, prime: int | None, cap: int):
     try:
         text = path.read_text()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from e
-    return parse_fixture(text, prime)
+    return parse_fixture(text, prime, cap)
 
 
 def _fixture_ideal(fx) -> Ideal:
@@ -129,8 +128,8 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 
 def _cmd_gb(args) -> int:
-    fx = _load_fixture(args.fixture, args.prime)
-    gb = _fixture_ideal(fx).gb(cap=args.degree_cap)
+    fx = _load_fixture(args.fixture, args.prime, args.degree_cap)
+    gb = _fixture_ideal(fx).gb()
     basis = sorted(str(g) for g in gb.elements)
     _emit(
         {"command": "gb", "prime": fx.ring.p, "basis": basis},
@@ -141,8 +140,8 @@ def _cmd_gb(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
-    fx = _load_fixture(args.fixture, args.prime)
-    res = resolve_quotient(_fixture_ideal(fx), args.degree_cap)
+    fx = _load_fixture(args.fixture, args.prime, args.degree_cap)
+    res = resolve_quotient(_fixture_ideal(fx))
     lines = [
         f"level {i}: twists {list(level)}" for i, level in enumerate(res.twists)
     ]
@@ -160,8 +159,8 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    fx = _load_fixture(args.fixture, args.prime)
-    table = betti_table(resolve_quotient(_fixture_ideal(fx), args.degree_cap))
+    fx = _load_fixture(args.fixture, args.prime, args.degree_cap)
+    table = betti_table(resolve_quotient(_fixture_ideal(fx)))
     _emit(
         {"command": "betti", "prime": fx.ring.p, "table": table.as_dict()},
         args.json,
@@ -171,8 +170,8 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    fx = _load_fixture(args.fixture, args.prime)
-    data = hilbert_function(_fixture_ideal(fx), cap=args.degree_cap)
+    fx = _load_fixture(args.fixture, args.prime, args.degree_cap)
+    data = hilbert_function(_fixture_ideal(fx))
     _emit(
         {"command": "hilbert", "prime": fx.ring.p, "hilbert": data.as_dict()},
         args.json,
@@ -186,13 +185,13 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_conductor(args) -> int:
-    fx = _load_fixture(args.fixture, args.prime)
+    fx = _load_fixture(args.fixture, args.prime, args.degree_cap)
     if fx.curve is None:
         raise ParseError("conductor needs a curve fixture, not generators")
     if fx.curve.components_certified:
-        rep = conductor_from_components(fx.curve, args.degree_cap, args.seed)
+        rep = conductor_from_components(fx.curve, args.seed)
     else:
-        rep = conductor_nodal(fx.curve.total_form, args.degree_cap, args.seed)
+        rep = conductor_nodal(fx.curve.total_form, args.seed)
     d = rep.as_dict()
     _emit(
         {"command": "conductor", "prime": fx.ring.p, "report": d, "seed": args.seed},
@@ -205,13 +204,14 @@ def _cmd_conductor(args) -> int:
 def _run_fixture_statement(statement, seed, cap, fx, fixture_path, **params):
     """Run a statement on a loaded fixture, retrying at the second prime when
     the fixture's characteristic divides the curve degree.  Statements on one
-    fixture share its ring and basis cache; only the retry parses again."""
+    fixture share its ring and basis cache; only the retry parses again, with
+    the same degree cap."""
     try:
         return run_statement(
             statement, seed=seed, prime=fx.ring.p, cap=cap, fixture=fx, **params
         )
     except CharacteristicError:
-        fx = _load_fixture(fixture_path, SECOND_PRIME)
+        fx = _load_fixture(fixture_path, SECOND_PRIME, cap)
         rep = run_statement(
             statement,
             seed=seed,
@@ -257,7 +257,9 @@ def _cmd_verify(args) -> int:
         primes.append(SECOND_PRIME)
     fixtures = {}
     if args.fixture is not None:
-        fixtures = {p: _load_fixture(args.fixture, p) for p in primes}
+        fixtures = {
+            p: _load_fixture(args.fixture, p, args.degree_cap) for p in primes
+        }
     reports = []
     for statement in ids:
         for p in primes:
@@ -317,13 +319,11 @@ def _cmd_corpus(args) -> int:
     results = []
     ok = True
     for path in paths:
-        fx = _load_fixture(path, args.prime)
+        fx = _load_fixture(path, args.prime, args.degree_cap)
         reports = []
         for statement in _corpus_statements(fx):
             if statement == "cm-regularity-crosscheck":
-                rep = cm_regularity_crosscheck(
-                    _fixture_ideal(fx), args.degree_cap
-                )
+                rep = cm_regularity_crosscheck(_fixture_ideal(fx))
             else:
                 rep = _run_fixture_statement(
                     statement, args.seed, args.degree_cap, fx, path

@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     RetryBudgetExceeded,
 )
-from .groebner import DEFAULT_DEGREE_CAP
 from .ideals import (
     Ideal,
     codimension,
@@ -45,14 +44,14 @@ from .ideals import (
 )
 from .report import betti_table
 from .resolution import resolve_ideal
-from .ring import Polynomial, Ring, check_characteristic
+from .ring import DEFAULT_DEGREE_CAP, Polynomial, Ring, check_characteristic
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 32009
 
 
-def default_ring(prime: int = DEFAULT_PRIME) -> Ring:
-    return Ring("x0,x1,x2", p=prime)
+def default_ring(prime: int = DEFAULT_PRIME, cap: int = DEFAULT_DEGREE_CAP) -> Ring:
+    return Ring("x0,x1,x2", p=prime, cap=cap)
 
 
 @dataclass
@@ -194,12 +193,10 @@ def jacobian_ideal(F: Polynomial) -> Ideal:
     return jac
 
 
-def _fill_report(
-    conductor: Ideal, d: int, route: str, cap: int
-) -> ConductorReport:
+def _fill_report(conductor: Ideal, d: int, route: str) -> ConductorReport:
     if conductor.is_unit():
         return ConductorReport(conductor, 0, 0, 0, d - 1, route, d)
-    table = betti_table(resolve_ideal(conductor, cap))
+    table = betti_table(resolve_ideal(conductor))
     reg = table.regularity()
     return ConductorReport(
         conductor=conductor,
@@ -212,15 +209,15 @@ def _fill_report(
     )
 
 
-def conductor_nodal(
-    F: Polynomial, cap: int = DEFAULT_DEGREE_CAP, seed: int = 0
-) -> ConductorReport:
+def conductor_nodal(F: Polynomial, seed: int = 0) -> ConductorReport:
     """Conductor of an all-nodal curve: the saturated Jacobian ideal.
 
     The nodes-only hypothesis is certified after the fact: the saturation
     must be a reduced point scheme, which pins every singularity down to an
     ordinary node.  Anything worse raises instead of returning an ideal
-    that would not be the conductor.
+    that would not be the conductor.  A repeated factor is refused first:
+    F is squarefree exactly when its Jacobian ideal, which contains F by
+    Euler's relation, has codimension at least 2 (`curve_is_squarefree`).
     """
     ring = F.ring
     if ring.nvars != 3:
@@ -228,42 +225,41 @@ def conductor_nodal(
     if not F or not F.is_homogeneous():
         raise ValueError("need a nonzero form")
     d = F.homogeneous_degree()
-    if not curve_is_squarefree(F, cap):
+    jac = jacobian_ideal(F)
+    if codimension(jac) < 2:
         raise NonNodalCurveError(
             "non-nodal singularity detected: the form has a repeated factor"
         )
-    sat = saturate(jacobian_ideal(F), cap=cap)
+    sat = saturate(jac)
     if sat.is_unit():
-        return _fill_report(sat, d, "jacobian-saturation", cap)
-    cert = points_are_reduced(sat, seed=seed, cap=cap)
+        return _fill_report(sat, d, "jacobian-saturation")
+    cert = points_are_reduced(sat, seed=seed)
     if not cert.reduced:
         raise NonNodalCurveError(
             "non-nodal singularity detected: the saturated Jacobian is not"
             " a reduced point scheme"
         )
-    return _fill_report(sat, d, "jacobian-saturation", cap)
+    return _fill_report(sat, d, "jacobian-saturation")
 
 
-def _component_conductor(comp: CurveComponent, cap: int, seed: int) -> Ideal:
+def _component_conductor(comp: CurveComponent, seed: int) -> Ideal:
     """Conductor of one component alone: its hint, else the nodal route."""
     if comp.conductor_hint is not None:
         return comp.conductor_hint
-    return conductor_nodal(comp.form, cap, seed).conductor
+    return conductor_nodal(comp.form, seed).conductor
 
 
-def _blend(spec: CurveSpec, hints, cap: int) -> Ideal:
+def _blend(spec: CurveSpec, hints) -> Ideal:
     """Saturation of the sum of hint_i times the complementary product."""
     ring = spec.ring
     total = Ideal(ring, ())
     for i in range(len(spec.components)):
         part = ideal_product(hints[i], Ideal(ring, [spec.complementary_form(i)]))
         total = ideal_sum(total, part)
-    return saturate(total, cap=cap)
+    return saturate(total)
 
 
-def conductor_from_components(
-    spec: CurveSpec, cap: int = DEFAULT_DEGREE_CAP, seed: int = 0
-) -> ConductorReport:
+def conductor_from_components(spec: CurveSpec, seed: int = 0) -> ConductorReport:
     """Conductor from the component decomposition.
 
     Sums each component's own conductor times the product of the other
@@ -271,26 +267,25 @@ def conductor_from_components(
     or, failing that, from the nodal route on the component alone; smooth
     components contribute their complementary product itself.
     """
-    hints = [_component_conductor(c, cap, seed) for c in spec.components]
-    blended = _blend(spec, hints, cap)
+    hints = [_component_conductor(c, seed) for c in spec.components]
+    blended = _blend(spec, hints)
     if len(spec.components) == 1 and spec.components[0].conductor_hint is not None:
         route = "hint"
     else:
         route = "component-product"
-    return _fill_report(blended, spec.degree, route, cap)
+    return _fill_report(blended, spec.degree, route)
 
 
-def intersection_points_ideal(spec: CurveSpec, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+def intersection_points_ideal(spec: CurveSpec) -> Ideal:
     """Saturated ideal of the locus where at least two components meet."""
     ring = spec.ring
     meets = None
     for i in range(len(spec.components)):
         for j in range(i + 1, len(spec.components)):
             pair = saturate(
-                Ideal(ring, [spec.components[i].form, spec.components[j].form]),
-                cap=cap,
+                Ideal(ring, [spec.components[i].form, spec.components[j].form])
             )
-            meets = pair if meets is None else intersect(meets, pair, cap)
+            meets = pair if meets is None else intersect(meets, pair)
     if meets is None:
         return Ideal(ring, [ring.one()])
     return meets
@@ -349,11 +344,7 @@ def _implicit_form(ring: Ring, maps, d: int) -> Polynomial | None:
 
 
 def rational_curve_implicitize(
-    d: int,
-    seed: int = 0,
-    ring: Ring | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
-    budget: int = 5,
+    d: int, seed: int = 0, ring: Ring | None = None, budget: int = 5
 ) -> CurveSpec:
     """Generic rational plane curve of degree d, by implicitization.
 
@@ -370,13 +361,13 @@ def rational_curve_implicitize(
     expected_delta = (d - 1) * (d - 2) // 2
     for attempt in range(budget):
         rng = random.Random(f"implicitize:{seed}:{attempt}")
-        pring = Ring("s,t", p=ring.p)
+        pring = Ring("s,t", p=ring.p, cap=ring.cap)
         maps = [pring.random_form(d, rng) for _ in range(3)]
         F = _implicit_form(ring, maps, d)
         if F is None:
             continue
         try:
-            rep = conductor_nodal(F, cap, seed=rng.randrange(1 << 30))
+            rep = conductor_nodal(F, seed=rng.randrange(1 << 30))
         except NonNodalCurveError:
             continue
         if rep.delta != expected_delta or rep.degree_d_syzygies != 0:
@@ -389,11 +380,7 @@ def rational_curve_implicitize(
 
 
 def determinantal_points(
-    m: int,
-    seed: int = 0,
-    ring: Ring | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
-    budget: int = 5,
+    m: int, seed: int = 0, ring: Ring | None = None, budget: int = 5
 ) -> Ideal:
     """Point scheme of the maximal minors of a generic structured matrix.
 
@@ -423,12 +410,12 @@ def determinantal_points(
             _poly_det([row for r, row in enumerate(mat) if r != drop])
             for drop in range(m + 1)
         ]
-        ideal = saturate(Ideal(ring, minors), cap=cap)
-        if codimension(ideal, cap) != 2:
+        ideal = saturate(Ideal(ring, minors))
+        if codimension(ideal) != 2:
             continue
         if scheme_length(ideal) != expected_delta:
             continue
-        res = resolve_ideal(ideal, cap)
+        res = resolve_ideal(ideal)
         table = betti_table(res)
         if table.regularity() != expected_reg:
             continue
@@ -436,7 +423,7 @@ def determinantal_points(
             continue
         if m == 2 and (table.beta(1, 7) != 1 or table.beta(1, 8) != 1):
             continue
-        cert = points_are_reduced(ideal, seed=rng.randrange(1 << 30), cap=cap)
+        cert = points_are_reduced(ideal, seed=rng.randrange(1 << 30))
         if not cert.reduced:
             continue
         return ideal
@@ -446,11 +433,7 @@ def determinantal_points(
 
 
 def nodal_curve_through(
-    points: Ideal,
-    D: int,
-    seed: int = 0,
-    cap: int = DEFAULT_DEGREE_CAP,
-    budget: int = 10,
+    points: Ideal, D: int, seed: int = 0, budget: int = 10
 ) -> CurveSpec | None:
     """Search for a degree-D curve with nodes exactly at the given points.
 
@@ -461,13 +444,13 @@ def nodal_curve_through(
     that is an observation, not an error.
     """
     ring = points.ring
-    if not saturate(points, cap=cap).same_ideal(points):
+    if not saturate(points).same_ideal(points):
         raise ValueError("the point ideal must be saturated")
-    square = symbolic_square(points, cap)
+    square = symbolic_square(points)
     least = indeg(square)
     if D < least:
         raise ValueError(f"no doubly vanishing forms below degree {least}")
-    basis = square.graded_basis(D, cap)
+    basis = square.graded_basis(D)
     for attempt in range(budget):
         rng = random.Random(f"curve-search:{seed}:{attempt}")
         F = ring.zero()
@@ -476,7 +459,7 @@ def nodal_curve_through(
                 (b * rng.randrange(ring.p) for b in basis), start=ring.zero()
             )
         try:
-            rep = conductor_nodal(F, cap, seed=rng.randrange(1 << 30))
+            rep = conductor_nodal(F, seed=rng.randrange(1 << 30))
         except NonNodalCurveError:
             continue
         if not rep.conductor.same_ideal(points):
@@ -499,7 +482,9 @@ class Fixture:
     ideal: Ideal | None
 
 
-def parse_fixture(text: str, prime: int | None = None) -> Fixture:
+def parse_fixture(
+    text: str, prime: int | None = None, cap: int = DEFAULT_DEGREE_CAP
+) -> Fixture:
     """Parse the fixture format.
 
     First line: `ring p=32003 vars=x0,x1,x2`.  Then either `component:`
@@ -507,7 +492,8 @@ def parse_fixture(text: str, prime: int | None = None) -> Fixture:
     component), a single `implicit:` line for a curve given by one
     equation, or `generator:` lines for a plain ideal fixture.  Blank
     lines and `#` comments are skipped.  A prime override replaces the
-    header's p.
+    header's p.  The ring gets the degree cap `cap`, which every basis the
+    parse computes (the component checks of `CurveSpec`) already obeys.
     """
     lines = []
     for raw in text.splitlines():
@@ -539,7 +525,7 @@ def parse_fixture(text: str, prime: int | None = None) -> Fixture:
         except CharacteristicError as exc:
             raise ParseError(f"bad ring header: {exc}") from None
     try:
-        ring = Ring(names, p=prime if prime is not None else header_p)
+        ring = Ring(names, p=prime if prime is not None else header_p, cap=cap)
     except ValueError as exc:
         raise ParseError(f"bad ring header: {exc}") from None
 

@@ -11,6 +11,10 @@ is homogenized with one more variable h, run the same way, set to h = 1 and
 interreduced (`_homogenized_gb`).  One elimination, `_eliminate`, gives
 syzygies, intersections and colons through the same dispatch and cache.
 
+Every computation reads its degree cap off the ring (`Ring.cap`): no term of
+total degree above it is built, and one that would raises DegreeCapExceeded.
+A ring has one cap, so a basis cache key holds none.
+
 Minimal generators of homogeneous input come out of the same Macaulay run,
 with no elimination of their own: in each degree the engine marks the new
 basis elements whose leads the S-pair rows of that degree do not reach, and
@@ -37,20 +41,18 @@ from .errors import (
     RingMismatchError,
 )
 from .ring import (
+    DEFAULT_DEGREE_CAP,  # noqa: F401 - re-exported
     MAX_EXPONENT,
     Mono,
     MonomialOrder,
     Polynomial,
     Ring,
-    check_degree_cap,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
 )
-
-DEFAULT_DEGREE_CAP = 40
 
 # A module term is (component, monomial); module elements are dicts mapping
 # terms to nonzero coefficients.
@@ -453,7 +455,7 @@ def _resolve_order(ring: Ring, order) -> MonomialOrder:
     return order
 
 
-def _macaulay_engine(p, n, twists, inputs, keyf, cap, coprime_skip, minimal_from):
+def _macaulay_engine(p, n, twists, inputs, keyf, cap, minimal_from):
     """Homogeneous basis completion by degreewise row reduction.
 
     n: exponent fields per monomial.  inputs: (terms dict keyed by
@@ -474,7 +476,8 @@ def _macaulay_engine(p, n, twists, inputs, keyf, cap, coprime_skip, minimal_from
     its pivots is a term no basis lead divides, so it is a new lead.  S-pairs
     are queued through `_new_pairs` by the degree of their lcm, so no degree
     with outstanding pairs is skipped, which is the Buchberger termination
-    argument; the coprime-lead shortcut is only sound in rank one.
+    argument.  The coprime-lead shortcut is only sound in rank one, so it is
+    taken exactly when there is one twist.
 
     Returns the reduced basis as term dicts sorted by ascending lead key,
     and the positions of the marked elements by degree and then position.
@@ -516,14 +519,15 @@ def _macaulay_engine(p, n, twists, inputs, keyf, cap, coprime_skip, minimal_from
     each field.  That test is exact while every exponent stays below 2^15,
     since then no field borrows from the next.  It does: inputs are checked
     against the cap before they are packed, every term of a finished degree
-    has total degree at most cap <= MAX_EXPONENT = 255 (`check_degree_cap`),
-    and a term built before the cap check fires is a shift of such a term by
-    a monomial of degree at most cap, so its exponents stay below 2*255.
+    has total degree at most cap <= MAX_EXPONENT = 255 (callers pass
+    `ring.cap`, which `Ring` checks), and a term built before the cap check
+    fires is a shift of such a term by a monomial of degree at most cap, so
+    its exponents stay below 2*255.
     Order keys are computed once per distinct term from its unpacked tuple,
     and unpacking goes through one memo per run, so the output elements
     share one tuple per term.
     """
-    check_degree_cap(cap)
+    coprime_skip = len(twists) == 1
     # A packed term is the big-endian int of the component as 64 bits and
     # then n exponent fields of 16 bits, so a shift is an add.
     layout = struct.Struct(f">Q{n}H")
@@ -668,7 +672,7 @@ def _macaulay_engine(p, n, twists, inputs, keyf, cap, coprime_skip, minimal_from
     return basis, tuple(r for _, r in sorted((e, pos[j]) for e, j in marked))
 
 
-def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+def macaulay_gb(gens, order=None) -> GroebnerBasis:
     """Reduced basis of a homogeneous ideal by degreewise row reduction.
 
     Valid for any global order because a homogeneous ideal is the direct sum
@@ -686,16 +690,13 @@ def macaulay_gb(gens, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasi
     # homogeneous_degree raises ValueError on inhomogeneous input
     inputs = [(_poly_to_dict(f), f.homogeneous_degree()) for f in gens]
     basis, minimal = _macaulay_engine(
-        ring.p, ring.nvars, (0,), inputs, keyf, cap,
-        coprime_skip=True, minimal_from=0,
+        ring.p, ring.nvars, (0,), inputs, keyf, ring.cap, minimal_from=0
     )
     elements = tuple(_dict_to_poly(ring, terms) for terms in basis)
     return GroebnerBasis(ring, FreeModuleShape.plain(1), order, elements, minimal)
 
 
-def macaulay_module_gb(
-    gens, order=None, cap: int = DEFAULT_DEGREE_CAP, *, _minimal_from: int = 0
-) -> GroebnerBasis:
+def macaulay_module_gb(gens, order=None, *, _minimal_from: int = 0) -> GroebnerBasis:
     """Reduced basis of a homogeneous submodule by degreewise row reduction.
 
     _minimal_from is for `_eliminate` alone: the marks then count only the
@@ -714,8 +715,8 @@ def macaulay_module_gb(
 
     inputs = [(z.terms, z.module_degree()) for z in gens]
     basis, minimal = _macaulay_engine(
-        ring.p, ring.nvars, shape.twists, inputs, order.key, cap,
-        coprime_skip=False, minimal_from=_minimal_from,
+        ring.p, ring.nvars, shape.twists, inputs, order.key, ring.cap,
+        minimal_from=_minimal_from,
     )
     elements = tuple(ModuleElement(ring, shape, terms) for terms in basis)
     return GroebnerBasis(ring, shape, order, elements, minimal)
@@ -738,7 +739,7 @@ def _generator_set(elements) -> frozenset:
     return frozenset(_sorted_terms(z) for z in elements if z)
 
 
-def _homogenized_gb(gens, order, cap) -> GroebnerBasis:
+def _homogenized_gb(gens, order) -> GroebnerBasis:
     """Reduced basis of inhomogeneous input through the Macaulay engine.
 
     Each element is homogenized to its top module degree with a new last
@@ -766,14 +767,13 @@ def _homogenized_gb(gens, order, cap) -> GroebnerBasis:
         inputs.append((h, top))
     basis, _ = _macaulay_engine(
         ring.p, ring.nvars + 1, shape.twists, inputs,
-        lambda t: keyf((t[0], t[1][:-1])), cap,
-        coprime_skip=not module, minimal_from=shape.rank,
+        lambda t: keyf((t[0], t[1][:-1])), ring.cap, minimal_from=shape.rank,
     )
     gels = [
         _make_gel(ring, {(c, m[:-1]): v for (c, m), v in d.items()}, keyf)
         for d in basis
     ]
-    gels = _interreduce(ring, gels, keyf, cap)
+    gels = _interreduce(ring, gels, keyf, ring.cap)
     if module:
         elements = tuple(ModuleElement(ring, shape, g.full) for g in gels)
     else:
@@ -781,9 +781,7 @@ def _homogenized_gb(gens, order, cap) -> GroebnerBasis:
     return GroebnerBasis(ring, shape, order, elements)
 
 
-def groebner_basis(
-    gens, order=None, cap: int = DEFAULT_DEGREE_CAP, *, _minimal_from: int = 0
-) -> GroebnerBasis:
+def groebner_basis(gens, order=None, *, _minimal_from: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis, for ideals and submodules, by the Macaulay engine.
 
     Homogeneous input goes to `macaulay_gb` (ideals) or `macaulay_module_gb`
@@ -793,12 +791,13 @@ def groebner_basis(
     and passes to `macaulay_module_gb`.
 
     Each ring caches the bases computed over it, keyed by the order's name,
-    the cap, the module shape (rank one for polynomials), _minimal_from,
-    which the marks depend on, and the generator set, so every ideal or
+    the module shape (rank one for polynomials), _minimal_from, which the
+    marks depend on, and the generator set, so every ideal or
     submodule named by the same generators, in any list order and by any
     object, shares one computation.  A computed basis is also stored under
     its own elements: an ideal built from a reduced basis finds it without
-    recomputing.  The cache holds no reference back to the ring
+    recomputing.  The key holds no cap: every basis over a ring obeys the
+    ring's cap.  The cache holds no reference back to the ring
     (`_CacheEntry`), so a dropped ring is freed at once.
     """
     gens = list(gens)
@@ -815,25 +814,24 @@ def groebner_basis(
         order = PositionOverTerm(ring.grevlex, shape.rank)
     live = [z for z in gens if z]
     if not live:
-        check_degree_cap(cap)
         return GroebnerBasis(ring, shape, order, ())
     cache = ring.basis_cache
-    key = (order.name, cap, shape, _minimal_from, _generator_set(live))
+    key = (order.name, shape, _minimal_from, _generator_set(live))
     entry = cache.get(key)
     if entry is not None:
         cache.move_to_end(key)
         return entry.basis()
     if not all(z.is_homogeneous() for z in live):
-        gb = _homogenized_gb(live, order, cap)
+        gb = _homogenized_gb(live, order)
     elif module:
-        gb = macaulay_module_gb(live, order, cap, _minimal_from=_minimal_from)
+        gb = macaulay_module_gb(live, order, _minimal_from=_minimal_from)
     else:
-        gb = macaulay_gb(live, order, cap)
-    _store_basis(gb, cap, live, _minimal_from)
+        gb = macaulay_gb(live, order)
+    _store_basis(gb, live, _minimal_from)
     return gb
 
 
-def _store_basis(gb: GroebnerBasis, cap: int, gens, minimal_from: int = 0) -> None:
+def _store_basis(gb: GroebnerBasis, gens, minimal_from: int = 0) -> None:
     """Cache gb under the generator set `gens` and under its own elements.
 
     gens must generate the same ideal or submodule as gb, and gb's marks must
@@ -846,16 +844,19 @@ def _store_basis(gb: GroebnerBasis, cap: int, gens, minimal_from: int = 0) -> No
     entry = _CacheEntry(gb)
     named = (gens,) if gb.minimal is None else (gens, gb.elements)
     for elements in named:
-        k = (gb.order.name, cap, gb.shape, minimal_from, _generator_set(elements))
+        k = (gb.order.name, gb.shape, minimal_from, _generator_set(elements))
         cache[k] = entry
         cache.move_to_end(k)
     while len(cache) > BASIS_CACHE_SIZE:
         cache.popitem(last=False)
 
 
-def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
-    """Remainder of f on full division by the basis."""
-    check_degree_cap(cap)
+def normal_form(f, gb: GroebnerBasis):
+    """Remainder of f on full division by the basis.
+
+    The reduction is bounded by MAX_EXPONENT, the largest degree an order key
+    holds, not by the ring's cap; a term past it raises DegreeCapExceeded.
+    """
     ring = gb.ring
     keyf = gb.term_key()
     if isinstance(f, Polynomial):
@@ -874,7 +875,7 @@ def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
     for gd in src:
         g = _make_gel(ring, gd, keyf)
         by_comp.setdefault(g.lead[0], []).append(g)
-    rem = _normal_form_dict(d, by_comp, keyf, ring.p, cap)
+    rem = _normal_form_dict(d, by_comp, keyf, ring.p, MAX_EXPONENT)
     if isinstance(f, Polynomial):
         return _dict_to_poly(ring, rem)
     return ModuleElement(ring, gb.shape, rem)
@@ -884,7 +885,7 @@ def normal_form(f, gb: GroebnerBasis, cap: int = MAX_EXPONENT):
 # Elimination: syzygies, intersections and colons
 
 
-def _eliminate(rows, k: int, cap: int):
+def _eliminate(rows, k: int):
     """The submodule of the rows with no term below component k (Cox, Little
     and O'Shea, Ideals, Varieties, and Algorithms, ch. 4).
 
@@ -895,7 +896,7 @@ def _eliminate(rows, k: int, cap: int):
     components and the marks, None when the rows are inhomogeneous.
     """
     ring, shape = rows[0].ring, rows[0].shape
-    gb = groebner_basis(rows, cap=cap, _minimal_from=k)  # position over term
+    gb = groebner_basis(rows, _minimal_from=k)  # position over term
     rest = FreeModuleShape(shape.rank - k, shape.twists[k:])
     out = [
         ModuleElement(ring, rest, {(c - k, t): v for (c, t), v in z.terms.items()})
@@ -905,7 +906,7 @@ def _eliminate(rows, k: int, cap: int):
     return out, gb.minimal
 
 
-def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
+def syzygy_generators(gens):
     """Generators of the syzygy module of the given generator list.
 
     Schreyer's theorem read as elimination (Eisenbud, Commutative Algebra,
@@ -933,7 +934,7 @@ def syzygy_generators(gens, cap: int = DEFAULT_DEGREE_CAP):
         ModuleElement(ring, rows_shape, {**z.terms, (k + i, one): 1})
         for i, z in enumerate(gens)
     ]
-    out, marks = _eliminate(rows, k, cap)
+    out, marks = _eliminate(rows, k)
     if marks is None:
         return out
     key_order = PositionOverTerm(ring.grevlex, m)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .groebner import DEFAULT_DEGREE_CAP
 from .ideals import Ideal
 from .report import VerdictReport
 from .resolution import FreeResolution, resolve_quotient
@@ -94,35 +93,31 @@ def _package(values, poly) -> HilbertData:
 
 
 def hilbert_function(
-    ideal: Ideal,
-    resolution: FreeResolution | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
+    ideal: Ideal, resolution: FreeResolution | None = None
 ) -> HilbertData:
     """HilbertData of S/I on degrees 0 to the largest twist of its minimal
     resolution plus 2; a resolution the caller supplies must be one of S/I."""
     if resolution is None:
-        resolution = resolve_quotient(ideal, cap)
+        resolution = resolve_quotient(ideal)
     elif resolution.numerator != ideal.gb().hilbert_numerator:
         raise InvariantViolation("the resolution is not one of S/I")
     values = [ideal.quotient_dim(e) for e in range(resolution.max_twist() + 3)]
     return _package(values, resolution_hilbert_polynomial(resolution))
 
 
-def cm_regularity_crosscheck(
-    ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP
-) -> VerdictReport:
+def cm_regularity_crosscheck(ideal: Ideal) -> VerdictReport:
     """Three readings of reg(S/I) for a saturated point ideal.
 
     Betti reading max(j - i), last-map reading max twist of F_2 minus 2,
     and the degree where the Hilbert function settles onto its constant.
     All three must agree for Cohen-Macaulay codimension 2.
     """
-    res = resolve_quotient(ideal, cap)
+    res = resolve_quotient(ideal)
     computed: dict = {"length": res.length}
     expected: dict = {"length": 2}
     if res.length == 2:
         reg = res.regularity()
-        data = hilbert_function(ideal, resolution=res, cap=cap)
+        data = hilbert_function(ideal, resolution=res)
         computed.update(
             {
                 "regularity": reg,

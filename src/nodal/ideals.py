@@ -28,7 +28,6 @@ import numpy as np
 from . import linalg
 from .errors import CharacteristicError, InvariantViolation
 from .groebner import (
-    DEFAULT_DEGREE_CAP,
     FreeModuleShape,
     GroebnerBasis,
     ModuleElement,
@@ -45,9 +44,10 @@ class Ideal:
 
     Its reduced bases live in the ring's basis cache (see
     groebner.groebner_basis), so ideals named by the same generators share
-    them.  The object also keeps each basis it has looked up, per order name
-    and cap, so later calls skip building the cache key and find the basis's
-    leads and Hilbert numerator already computed.  The ring's cache never
+    them.  The object also keeps each basis it has looked up, per order name,
+    so later calls skip building the cache key and find the basis's leads and
+    Hilbert numerator already computed.  Every basis obeys the ring's degree
+    cap (`Ring.cap`).  The ring's cache never
     points at an Ideal, so this makes no reference cycle.
     """
 
@@ -65,16 +65,15 @@ class Ideal:
     def parse(cls, ring: Ring, texts) -> "Ideal":
         return cls(ring, [ring.parse(t) for t in texts])
 
-    def gb(self, order=None, cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+    def gb(self, order=None) -> GroebnerBasis:
         order = order if order is not None else self.ring.grevlex
-        key = (order.name, cap)
-        gb = self._bases.get(key)
+        gb = self._bases.get(order.name)
         if gb is None:
             if self.gens:
-                gb = groebner_basis(self.gens, order, cap)
+                gb = groebner_basis(self.gens, order)
             else:
                 gb = GroebnerBasis(self.ring, None, order, (), ())
-            self._bases[key] = gb
+            self._bases[order.name] = gb
         return gb
 
     def contains(self, f: Polynomial) -> bool:
@@ -119,12 +118,12 @@ class Ideal:
         numerator of its grevlex leads."""
         return _series_coefficient(self.gb().hilbert_numerator, self.ring.nvars, degree)
 
-    def graded_basis(self, degree: int, cap: int = DEFAULT_DEGREE_CAP):
+    def graded_basis(self, degree: int):
         """Vector-space basis of the degree slice, in reduced echelon form."""
         if degree < 0 or not self.gens:
             return []
         ring = self.ring
-        cols, vals = _degree_slice(self.gb(cap=cap), degree)
+        cols, vals = _degree_slice(self.gb(), degree)
         monos = ring.monomials_of_degree(degree)
         dense = np.zeros((len(cols), len(monos) + 1), dtype=np.int64)
         dense[np.arange(len(cols))[:, None], cols] = vals
@@ -163,20 +162,20 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 # Intersection and colon
 
 
-def _last_component(rows, cap: int) -> Ideal:
+def _last_component(rows) -> Ideal:
     """The ideal the rows' submodule meets the last coordinate axis in, by
     `_eliminate`.  With marks it holds its reduced grevlex basis; unmarked,
     it holds none, since homogeneous elements need a marked basis."""
     ring = rows[0].ring
-    out, marks = _eliminate(rows, rows[0].shape.rank - 1, cap)
+    out, marks = _eliminate(rows, rows[0].shape.rank - 1)
     gens = tuple(z.component(0) for z in out)
     if marks is None:
         return Ideal(ring, gens)
     gb = GroebnerBasis(ring, FreeModuleShape.plain(1), ring.grevlex, gens, marks)
-    return _holding(gb, cap)
+    return _holding(gb)
 
 
-def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+def intersect(a: Ideal, b: Ideal) -> Ideal:
     """a ∩ b: the rows (f, f) for f in a and (g, 0) for g in b meet the
     second coordinate axis exactly in it, as writing (0, h) forces h into a
     through the second coordinate and into b through the first."""
@@ -188,10 +187,10 @@ def intersect(a: Ideal, b: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     shape, zero = FreeModuleShape.plain(2), ring.zero()
     rows = [ModuleElement.from_polynomials(shape, [f, f]) for f in a.gens]
     rows += [ModuleElement.from_polynomials(shape, [g, zero]) for g in b.gens]
-    return _last_component(rows, cap)
+    return _last_component(rows)
 
 
-def quotient(a: Ideal, b, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+def quotient(a: Ideal, b) -> Ideal:
     """Colon a : b for b = (g_1, ..., g_k) or one polynomial, in one basis.
 
     The rows (g_1, ..., g_k | 1) and f e_j for f in a and j < k meet the last
@@ -218,7 +217,7 @@ def quotient(a: Ideal, b, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
         ModuleElement.from_polynomials(shape, zero[:j] + [f] + zero[j:])
         for j in range(k) for f in a.gens
     ]
-    return _last_component(rows, cap)
+    return _last_component(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +306,14 @@ def _numerator_sum(*signed) -> tuple[int, ...]:
     return tuple(_uni_trim(out))
 
 
-def _root_multiplicity(coeffs, cap: int) -> int:
-    """Multiplicity of t = 1 as a root of sum coeffs[k] t^k, at most cap."""
+def _root_multiplicity(coeffs, most: int) -> int:
+    """Multiplicity of t = 1 as a root of sum coeffs[k] t^k, at most `most`."""
     c = list(coeffs)
-    for k in range(cap):
+    for k in range(most):
         if sum(c):
             return k
         c = list(accumulate(reversed(c[1:])))[::-1]  # c(t) / (t - 1)
-    return cap
+    return most
 
 
 def _same_hilbert_polynomial(a, b, n: int) -> bool:
@@ -357,14 +356,14 @@ def _divided_numerator(gb: GroebnerBasis, var: int) -> tuple[int, ...]:
     return gb.derived[key]
 
 
-def _holding(gb: GroebnerBasis, cap: int) -> Ideal:
+def _holding(gb: GroebnerBasis) -> Ideal:
     """The ideal of a reduced basis, keeping that basis."""
     ideal = Ideal(gb.ring, gb.elements)
-    ideal._bases[(gb.order.name, cap)] = gb
+    ideal._bases[gb.order.name] = gb
     return ideal
 
 
-def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+def saturate_irrelevant(a: Ideal) -> Ideal:
     """Saturation with respect to m = (x_0, ..., x_{n-1}) by basis divide-out.
 
     Requires homogeneous input.  For each variable x_i in turn, the reduced
@@ -398,32 +397,32 @@ def saturate_irrelevant(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
     rotated = []
     parts = []
     for var in range(n):
-        gb = a.gb(_rotated_grevlex(n, var), cap)
+        gb = a.gb(_rotated_grevlex(n, var))
         rotated.append(gb)
         stripped, changed = _divide_out(gb, var)
         if not changed:
-            basis = a.gb(cap=cap)
+            basis = a.gb()
             for gb in rotated:
-                _store_basis(gb, cap, basis.elements)
-            return _holding(basis, cap)
+                _store_basis(gb, basis.elements)
+            return _holding(basis)
         colon = Ideal(ring, stripped)
         numerator = _divided_numerator(gb, var)
         if _same_hilbert_polynomial(numerator, gb.hilbert_numerator, n):
-            return _holding(colon.gb(cap=cap), cap)
+            return _holding(colon.gb())
         parts.append(colon)
-    return reduce(lambda meet, part: intersect(meet, part, cap), parts)
+    return reduce(intersect, parts)
 
 
-def saturate(a: Ideal, b: Ideal | None = None, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+def saturate(a: Ideal, b: Ideal | None = None) -> Ideal:
     """Saturation a : b^∞; b defaults to the irrelevant ideal."""
     ring = a.ring
     if b is None or (a.is_homogeneous() and b.same_ideal(irrelevant_ideal(ring))):
         if a.is_homogeneous():
-            return saturate_irrelevant(a, cap)
+            return saturate_irrelevant(a)
         b = irrelevant_ideal(ring)
     prev = a
     for _ in range(50):
-        nxt = quotient(prev, b, cap)
+        nxt = quotient(prev, b)
         if nxt.same_ideal(prev):
             return Ideal(ring, prev.gb().elements)
         prev = nxt
@@ -434,7 +433,7 @@ def saturate(a: Ideal, b: Ideal | None = None, cap: int = DEFAULT_DEGREE_CAP) ->
 # Codimension
 
 
-def codimension(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> int:
+def codimension(a: Ideal) -> int:
     """Height of the ideal: the multiplicity of t = 1 as a root of the
     Hilbert numerator of its grevlex leads.
 
@@ -442,10 +441,10 @@ def codimension(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> int:
     HS(S/I) = N(t)/(1-t)^n has a pole of order dim S/I at t = 1.  Returns 0
     for the zero ideal (N = 1) and nvars + 1 for the unit ideal (N = 0).
     """
-    return _root_multiplicity(a.gb(cap=cap).hilbert_numerator, a.ring.nvars + 1)
+    return _root_multiplicity(a.gb().hilbert_numerator, a.ring.nvars + 1)
 
 
-def curve_is_squarefree(f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
+def curve_is_squarefree(f: Polynomial) -> bool:
     """No repeated component: the singular scheme has codimension >= 2."""
     ring = f.ring
     if not f or not f.is_homogeneous():
@@ -458,7 +457,7 @@ def curve_is_squarefree(f: Polynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
     # Euler: d*f = sum x_i * df/dx_i with d invertible, so (f, df) = (df),
     # the Jacobian ideal whose basis the conductor computation shares.
     gens = [f.partial_derivative(i) for i in range(ring.nvars)]
-    return codimension(Ideal(ring, gens), cap) >= 2
+    return codimension(Ideal(ring, gens)) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +481,9 @@ def scheme_length(a: Ideal) -> int:
     raise InvariantViolation("Hilbert function did not stabilize")
 
 
-def symbolic_square(a: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+def symbolic_square(a: Ideal) -> Ideal:
     """Forms vanishing doubly on the finite scheme: saturate the square."""
-    return saturate(ideal_product(a, a), cap=cap)
+    return saturate(ideal_product(a, a))
 
 
 def indeg(a: Ideal) -> int:
@@ -651,12 +650,7 @@ def _projection_rows(lin, delta: int, p: int, monos):
     return A[:, a_idx, b_idx]
 
 
-def points_are_reduced(
-    a: Ideal,
-    seed: int = 0,
-    attempts: int = 8,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> ReducednessReport:
+def points_are_reduced(a: Ideal, seed: int = 0, attempts: int = 8) -> ReducednessReport:
     """Certify that a saturated finite scheme in the plane is reduced.
 
     Project from a random point: with W the span of the products
@@ -681,13 +675,13 @@ def points_are_reduced(
     ring = a.ring
     if ring.nvars != 3:
         raise ValueError("the projection certificate works in the plane")
-    if codimension(a, cap) < 2:
+    if codimension(a) < 2:
         raise ValueError("not a finite scheme")
     delta = scheme_length(a)
     if delta == 0:
         return ReducednessReport(True, 0, 0, 0)
     rng = random.Random(seed)
-    cols, vals = _degree_slice(a.gb(cap=cap), delta)
+    cols, vals = _degree_slice(a.gb(), delta)
     monos = ring.monomials_of_degree(delta)
     used = 0
     for _ in range(attempts):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .groebner import (
-    DEFAULT_DEGREE_CAP,
     FreeModuleShape,
     ModuleElement,
     groebner_basis,
@@ -118,7 +117,7 @@ def _freeze(ring: Ring, twists: list, maps: list, numerator) -> FreeResolution:
     return res
 
 
-def _resolve(ring: Ring, gen_twists, relations, numerator, cap: int) -> FreeResolution:
+def _resolve(ring: Ring, gen_twists, relations, numerator) -> FreeResolution:
     """Resolution of the free module on gen_twists modulo the relations.
 
     The relations must be a minimal generating set with no unit entry.  Each
@@ -135,35 +134,33 @@ def _resolve(ring: Ring, gen_twists, relations, numerator, cap: int) -> FreeReso
         rank = len(twists[-1])
         twists.append(tuple(z.module_degree() for z in level))
         maps.append([[z.component(r) for z in level] for r in range(rank)])
-        level = syzygy_generators(level, cap=cap)
+        level = syzygy_generators(level)
     if level:
         raise InvariantViolation("resolution did not terminate")
     return _freeze(ring, twists, maps, numerator)
 
 
-def resolve_quotient(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
+def resolve_quotient(ideal: Ideal) -> FreeResolution:
     """Minimal free resolution of S/I: S modulo the minimal generators."""
     ring = ideal.ring
     if ideal.is_unit():
-        return _resolve(ring, (), [], (), cap)
+        return _resolve(ring, (), [], ())
     plain = FreeModuleShape.plain(1)
     rels = [ModuleElement.from_polynomials(plain, [g]) for g in ideal.minimal_gens()]
-    return _resolve(ring, (0,), rels, ideal.gb().hilbert_numerator, cap)
+    return _resolve(ring, (0,), rels, ideal.gb().hilbert_numerator)
 
 
-def resolve_ideal(ideal: Ideal, cap: int = DEFAULT_DEGREE_CAP) -> FreeResolution:
+def resolve_ideal(ideal: Ideal) -> FreeResolution:
     """Minimal free resolution of the ideal as a graded module: its minimal
     generators modulo their syzygies."""
     gens = ideal.minimal_gens()
     twists = tuple(g.homogeneous_degree() for g in gens)
-    rels = syzygy_generators(gens, cap=cap)
+    rels = syzygy_generators(gens)
     numerator = _numerator_sum((1, (1,)), (-1, ideal.gb().hilbert_numerator))
-    return _resolve(ideal.ring, twists, rels, numerator, cap)
+    return _resolve(ideal.ring, twists, rels, numerator)
 
 
-def resolve_presented(
-    ring: Ring, gen_twists, relations, numerator, cap: int = DEFAULT_DEGREE_CAP
-) -> FreeResolution:
+def resolve_presented(ring: Ring, gen_twists, relations, numerator) -> FreeResolution:
     """Minimal free resolution of a module presented by explicit relations.
 
     The module is the free module twisted by gen_twists modulo the span of
@@ -188,5 +185,5 @@ def resolve_presented(
             raise ValueError("resolutions need homogeneous input")
         if any(m == ring.zero_mono for _, m in z.terms):
             raise ValueError("relation has a unit entry: presentation not minimal")
-    rels = groebner_basis(relations, cap=cap).minimal_elements() if relations else []
-    return _resolve(ring, gen_twists, rels, numerator, cap)
+    rels = groebner_basis(relations).minimal_elements() if relations else []
+    return _resolve(ring, gen_twists, rels, numerator)

@@ -27,6 +27,9 @@ Mono = tuple[int, ...]
 MAX_EXPONENT = 255
 _B = 8
 
+# Total-degree cap of a ring's basis computations when none is given.
+DEFAULT_DEGREE_CAP = 40
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -184,8 +187,10 @@ def check_characteristic(p: int) -> None:
 def check_degree_cap(cap: int) -> None:
     """Refuse a total-degree cap above MAX_EXPONENT.
 
-    The Groebner engines build no monomial of total degree above their cap,
-    so a cap within it keeps every exponent, and every order key, in bounds.
+    The Groebner engine builds no monomial of total degree above its ring's
+    cap, so a cap within it keeps every exponent, and every order key, in
+    bounds.  `Ring` checks its cap here, and the command line its
+    --degree-cap flag.
     """
     if cap > MAX_EXPONENT:
         raise ExponentLimitError(
@@ -194,13 +199,21 @@ def check_degree_cap(cap: int) -> None:
 
 
 class Ring:
-    """The ring F_p[x_0, ..., x_{n-1}] for a prime p and named variables."""
+    """The ring F_p[x_0, ..., x_{n-1}] for a prime p and named variables.
+
+    cap is the degree cap of every basis computed over the ring: no basis,
+    colon, saturation or resolution over it builds a monomial of total degree
+    above cap, and one that would raises DegreeCapExceeded.  Like p, it is
+    part of what the ring is, so rings with different caps are different
+    rings and their elements do not mix.
+    """
 
     __slots__ = (
-        "p", "names", "nvars", "_index", "_grevlex", "basis_cache", "__weakref__"
+        "p", "cap", "names", "nvars", "_index", "_grevlex", "basis_cache",
+        "__weakref__",
     )
 
-    def __init__(self, names, p: int = 32003):
+    def __init__(self, names, p: int = 32003, cap: int = DEFAULT_DEGREE_CAP):
         if isinstance(names, str):
             names = [s.strip() for s in names.split(",")]
         names = tuple(names)
@@ -212,7 +225,9 @@ class Ring:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         check_characteristic(p)
+        check_degree_cap(cap)
         self.p = p
+        self.cap = cap
         self.names = names
         self.nvars = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
@@ -223,13 +238,18 @@ class Ring:
         self.basis_cache: OrderedDict = OrderedDict()
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.names == other.names and self.p == other.p
+        return self is other or (
+            isinstance(other, Ring)
+            and self.names == other.names
+            and self.p == other.p
+            and self.cap == other.cap
+        )
 
     def __hash__(self):
-        return hash((self.names, self.p))
+        return hash((self.names, self.p, self.cap))
 
     def __repr__(self):
-        return f"Ring({','.join(self.names)}; p={self.p})"
+        return f"Ring({','.join(self.names)}; p={self.p}, cap={self.cap})"
 
     @property
     def grevlex(self) -> Grevlex:

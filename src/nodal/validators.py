@@ -27,13 +27,8 @@ from .curves import (
     nodal_curve_through,
     rational_curve_implicitize,
 )
-from .errors import NonNodalCurveError, RetryBudgetExceeded
-from .groebner import (
-    DEFAULT_DEGREE_CAP,
-    FreeModuleShape,
-    ModuleElement,
-    syzygy_generators,
-)
+from .errors import InvariantViolation, NonNodalCurveError, RetryBudgetExceeded
+from .groebner import FreeModuleShape, ModuleElement, syzygy_generators
 from .ideals import (
     Ideal,
     _numerator_sum,
@@ -49,13 +44,13 @@ from .ideals import (
 )
 from .report import VerdictReport, betti_table
 from .resolution import resolve_ideal, resolve_presented, resolve_quotient
-from .ring import Polynomial, Ring
+from .ring import DEFAULT_DEGREE_CAP, Polynomial, Ring
 
 
-def _ideal_regularity(a: Ideal, cap: int) -> int:
+def _ideal_regularity(a: Ideal) -> int:
     if a.is_unit():
         return 0
-    return betti_table(resolve_ideal(a, cap)).regularity()
+    return betti_table(resolve_ideal(a)).regularity()
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +61,6 @@ def verify_regularity_theorem(
     report: ConductorReport,
     spec: CurveSpec,
     sandwich: Ideal | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
 ) -> VerdictReport:
     """Regularity and syzygy-count laws for a conductor report.
 
@@ -103,12 +97,12 @@ def verify_regularity_theorem(
         expected["strict_iff_irreducible"] = True
 
     if spec.components_certified and len(spec) >= 2:
-        meet = intersection_points_ideal(spec, cap)
+        meet = intersection_points_ideal(spec)
         J = meet if sandwich is None else sandwich
         chain = J.contains_ideal(report.conductor) and meet.contains_ideal(J)
         computed["sandwich_chain"] = chain
         expected["sandwich_chain"] = True
-        table = betti_table(resolve_ideal(J, cap))
+        table = betti_table(resolve_ideal(J))
         computed["sandwich_regularity"] = table.regularity()
         computed["sandwich_degree_d_syzygies"] = table.beta(1, d)
         expected["sandwich_regularity"] = d - 1
@@ -124,9 +118,7 @@ def verify_regularity_theorem(
 
 
 def adjoint_completeness_check(
-    report: ConductorReport,
-    certified_irreducible: bool | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
+    report: ConductorReport, certified_irreducible: bool | None = None
 ) -> VerdictReport:
     """Nodes of an irreducible curve impose independent conditions.
 
@@ -158,10 +150,22 @@ def adjoint_completeness_check(
     )
 
 
+def _least_syzygy_degree(jac: Ideal, d: int) -> int:
+    """Least degree of a syzygy of the k nonzero partials of a degree-d form.
+
+    0 -> Syz -> S(-(d-1))^k -> J -> 0 is exact, so Syz is nonzero in degree
+    e exactly when k dim S_{e-d+1} > dim J_e, both read off the Hilbert
+    series of J.  The Koszul syzygies put that degree at most 2(d - 1).
+    """
+    n, k = jac.ring.nvars, len(jac.gens)
+    for e in range(d - 1, 2 * (d - 1) + 1):
+        if k * _series_coefficient((1,), n, e - d + 1) > jac.graded_dim(e):
+            return e
+    raise InvariantViolation("the partials have no Koszul syzygy")
+
+
 def jacobian_syzygy_analysis(
-    F: Polynomial,
-    reducible: bool | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
+    F: Polynomial, reducible: bool | None = None
 ) -> VerdictReport:
     """Degree bound for syzygies of the partials of a nodal curve.
 
@@ -170,21 +174,16 @@ def jacobian_syzygy_analysis(
     curves.  Pass reducible=None when the component count is unknown; the
     equality clause is then reported as a reading, not asserted.
     """
-    jacobian_ideal(F)
+    jac = jacobian_ideal(F)
     ring = F.ring
     d = F.homogeneous_degree()
-    partials = [F.partial_derivative(v) for v in range(ring.nvars)]
-    live = [g for g in partials if g]
-    candidates = []
-    if len(live) < len(partials):
+    if len(jac.gens) < ring.nvars:
         # a vanished partial is killed by a coefficient of degree 0
-        candidates.append(0)
-    syz = syzygy_generators(live, cap=cap)
-    if syz:
-        candidates.append(min(z.module_degree() for z in syz) - (d - 1))
-    if not candidates:
+        mu = 0
+    elif len(jac.gens) < 2:
         raise ValueError("the partials admit no syzygy to measure")
-    mu = min(candidates)
+    else:
+        mu = _least_syzygy_degree(jac, d) - (d - 1)
     computed: dict = {"mu": mu, "curve_degree": d}
     expected: dict = {"mu_at_least_d_minus_2": True}
     notes: list[str] = []
@@ -210,7 +209,7 @@ def _quotient_indeg(inner: Ideal, outer: Ideal, bound: int) -> int:
     raise ValueError("the two ideals agree through the scanned range")
 
 
-def linkage_regularity(forms, cap: int = DEFAULT_DEGREE_CAP) -> VerdictReport:
+def linkage_regularity(forms) -> VerdictReport:
     """Regularity of an unmixed almost complete intersection, three ways.
 
     The first two forms must be a regular sequence a contained in the
@@ -226,16 +225,16 @@ def linkage_regularity(forms, cap: int = DEFAULT_DEGREE_CAP) -> VerdictReport:
         if not f or not f.is_homogeneous():
             raise ValueError("need nonzero forms")
     a = Ideal(ring, [f1, f2])
-    if codimension(a, cap) != 2:
+    if codimension(a) != 2:
         raise ValueError("the first two forms must be a regular sequence")
     J = Ideal(ring, [f1, f2, f3])
-    if codimension(J, cap) != 2:
+    if codimension(J) != 2:
         raise ValueError("the three forms must still cut out a point scheme")
-    I = saturate(J, cap=cap)
+    I = saturate(J)
     d1, d2, d3 = (f.homogeneous_degree() for f in forms)
-    direct = resolve_quotient(I, cap).regularity()
-    reg_a = resolve_quotient(a, cap).regularity()
-    colon = quotient(a, f3, cap)
+    direct = resolve_quotient(I).regularity()
+    reg_a = resolve_quotient(a).regularity()
+    colon = quotient(a, f3)
     by_colon = reg_a - _quotient_indeg(a, colon, reg_a)
 
     computed: dict = {
@@ -249,7 +248,7 @@ def linkage_regularity(forms, cap: int = DEFAULT_DEGREE_CAP) -> VerdictReport:
     }
     notes: list[str] = []
     if d3 >= max(d1, d2):
-        syz = syzygy_generators([f1, f2, f3], cap=cap)
+        syz = syzygy_generators([f1, f2, f3])
         entries = Ideal(
             ring, [z.component(r) for z in syz for r in range(3)]
         )
@@ -267,10 +266,7 @@ def linkage_regularity(forms, cap: int = DEFAULT_DEGREE_CAP) -> VerdictReport:
 
 
 def conductor_sequence_check(
-    spec: CurveSpec,
-    component: int = 0,
-    cap: int = DEFAULT_DEGREE_CAP,
-    seed: int = 0,
+    spec: CurveSpec, component: int = 0, seed: int = 0
 ) -> VerdictReport:
     """Splitting one component off a curve: exactness in Hilbert functions.
 
@@ -288,13 +284,13 @@ def conductor_sequence_check(
     d = spec.degree
     comp = spec.components[component]
     di = comp.degree
-    cond_i = _component_conductor(comp, cap, seed)
+    cond_i = _component_conductor(comp, seed)
     rest = CurveSpec(
         [c for j, c in enumerate(spec.components) if j != component],
         components_certified=spec.components_certified,
     )
-    cond_rest = conductor_from_components(rest, cap, seed).conductor
-    whole = conductor_from_components(spec, cap, seed)
+    cond_rest = conductor_from_components(rest, seed).conductor
+    whole = conductor_from_components(spec, seed)
 
     window = range(0, d + 5)
     identity = all(
@@ -304,10 +300,10 @@ def conductor_sequence_check(
         - (len(ring.monomials_of_degree(e - d)) if e >= d else 0)
         for e in window
     )
-    bound = max(d - 1, _ideal_regularity(cond_i, cap) + d - di)
+    bound = max(d - 1, _ideal_regularity(cond_i) + d - di)
     gi = spec.complementary_form(component)
     principal = intersect(
-        Ideal(ring, [comp.form]), Ideal(ring, [gi]), cap
+        Ideal(ring, [comp.form]), Ideal(ring, [gi])
     ).same_ideal(Ideal(ring, [spec.total_form]))
 
     computed = {
@@ -328,12 +324,7 @@ def conductor_sequence_check(
     )
 
 
-def partial_normalization_report(
-    spec: CurveSpec,
-    conductor_report: ConductorReport | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
-    seed: int = 0,
-) -> VerdictReport:
+def partial_normalization_report(spec: CurveSpec, seed: int = 0) -> VerdictReport:
     """Invariants of B/A for the product-of-components normalization step.
 
     B is the product of the component coordinate rings, A the diagonal
@@ -377,12 +368,10 @@ def partial_normalization_report(
         rels.append(ModuleElement.from_polynomials(shape, cols))
     f0 = spec.components[0].form
     rels.append(ModuleElement.from_polynomials(shape, [f0] * (ell - 1)))
-    res = resolve_presented(ring, twists, rels, n_ba, cap)
+    res = resolve_presented(ring, twists, rels, n_ba)
     reg_ba = res.regularity()
 
-    rep = conductor_report
-    if rep is None:
-        rep = conductor_from_components(spec, cap, seed)
+    rep = conductor_from_components(spec, seed)
     computed = {
         "components": ell,
         "dim_degree_zero": dim0,
@@ -408,7 +397,7 @@ def partial_normalization_report(
 # Seeded statement runners behind the command line
 
 
-def _runner_ring(prime: int, degree: int):
+def _runner_ring(prime: int, cap: int, degree: int):
     """Ring for a runner, bumping the prime when it divides the degree."""
     notes = []
     if degree % prime == 0:
@@ -417,7 +406,7 @@ def _runner_ring(prime: int, degree: int):
             f" reran at {SECOND_PRIME}"
         )
         prime = SECOND_PRIME
-    return default_ring(prime), notes
+    return default_ring(prime, cap), notes
 
 
 def _generic_lines(ring: Ring, n: int, rng) -> CurveSpec:
@@ -438,7 +427,7 @@ def _generic_conic_pair(ring: Ring, rng) -> CurveSpec:
             spec = CurveSpec.from_forms(
                 [ring.random_form(2, rng) for _ in range(2)]
             )
-            conductor_nodal(spec.total_form, seed=rng.randrange(1 << 30))
+            conductor_nodal(spec.total_form, rng.randrange(1 << 30))
             return spec
         except (ValueError, NonNodalCurveError):
             continue
@@ -460,11 +449,11 @@ def _spec_from_fixture(fixture):
     return fixture.curve
 
 
-def _runner_spec(fixture, prime: int, degree: int, build):
+def _runner_spec(fixture, prime: int, cap: int, degree: int, build):
     """(spec, notes): the fixture's curve, or build(ring) on a runner ring."""
     if fixture is not None:
         return _spec_from_fixture(fixture), []
-    ring, notes = _runner_ring(prime, degree)
+    ring, notes = _runner_ring(prime, cap, degree)
     return build(ring), notes
 
 
@@ -479,16 +468,16 @@ def run_line_arrangement(seed, prime, cap, fixture, lines: int = 3):
     if lines < 2:
         raise ValueError("an arrangement needs at least two lines")
     spec, notes = _runner_spec(
-        fixture, prime, lines,
+        fixture, prime, cap, lines,
         lambda ring: _generic_lines(ring, lines, random.Random(f"lines:{seed}")),
     )
     ell = len(spec)
     d = spec.degree
-    rep = conductor_from_components(spec, cap, seed)
+    rep = conductor_from_components(spec, seed)
     products = Ideal(
         spec.ring, [spec.complementary_form(i) for i in range(ell)]
     )
-    res = resolve_ideal(rep.conductor, cap)
+    res = resolve_ideal(rep.conductor)
     computed = {
         "components": ell,
         "conductor_is_product_ideal": rep.conductor.same_ideal(products),
@@ -511,12 +500,12 @@ def run_line_arrangement(seed, prime, cap, fixture, lines: int = 3):
 
 def run_rational_nodal(seed, prime, cap, fixture, curve_degree: int = 4):
     spec, notes = _runner_spec(
-        fixture, prime, curve_degree,
-        lambda ring: rational_curve_implicitize(curve_degree, seed, ring, cap),
+        fixture, prime, cap, curve_degree,
+        lambda ring: rational_curve_implicitize(curve_degree, seed, ring),
     )
     d = spec.degree
-    rep = conductor_nodal(spec.components[0].form, cap, seed)
-    res = resolve_ideal(rep.conductor, cap)
+    rep = conductor_nodal(spec.components[0].form, seed)
+    res = resolve_ideal(rep.conductor)
     computed = {
         "delta": rep.delta,
         "regularity": rep.regularity,
@@ -536,15 +525,15 @@ def run_rational_nodal(seed, prime, cap, fixture, curve_degree: int = 4):
 
 def run_determinantal_points(seed, prime, cap, fixture, emm: int = 2):
     m = emm
-    ring = default_ring(prime)
-    pts = determinantal_points(m, seed, ring, cap)
-    res = resolve_ideal(pts, cap)
+    ring = default_ring(prime, cap)
+    pts = determinantal_points(m, seed, ring)
+    res = resolve_ideal(pts)
     table = betti_table(res)
     computed = {
         "delta": scheme_length(pts),
         "regularity": table.regularity(),
         "generator_degrees": sorted(res.twists[0]),
-        "codimension": codimension(pts, cap),
+        "codimension": codimension(pts),
     }
     expected = {
         "delta": 20 * comb(m - 1, 2) + 18 * m - 17,
@@ -562,12 +551,12 @@ def run_determinantal_points(seed, prime, cap, fixture, emm: int = 2):
 
 def run_nodal_curve_search(seed, prime, cap, fixture, emm: int = 2):
     m = emm
-    ring = default_ring(prime)
-    pts = determinantal_points(m, seed, ring, cap)
+    ring = default_ring(prime, cap)
+    pts = determinantal_points(m, seed, ring)
     delta = 20 * comb(m - 1, 2) + 18 * m - 17
-    square = symbolic_square(pts, cap)
+    square = symbolic_square(pts)
     D = indeg(square)
-    spec = nodal_curve_through(pts, D, seed, cap)
+    spec = nodal_curve_through(pts, D, seed)
     computed: dict = {"search_degree": D, "found": spec is not None}
     expected: dict = {"found": True}
     notes = []
@@ -575,7 +564,7 @@ def run_nodal_curve_search(seed, prime, cap, fixture, emm: int = 2):
         computed["symbolic_square_indeg"] = D
         expected["symbolic_square_indeg"] = 10
     if spec is not None:
-        rep = conductor_nodal(spec.components[0].form, cap, seed)
+        rep = conductor_nodal(spec.components[0].form, seed)
         computed.update(
             {
                 "conductor_matches_points": rep.conductor.same_ideal(pts),
@@ -605,9 +594,9 @@ def run_nodal_curve_search(seed, prime, cap, fixture, emm: int = 2):
 
 
 def run_two_route(seed, prime, cap, fixture):
-    spec, notes = _runner_spec(fixture, prime, 4, _cubic_plus_line)
-    ra = conductor_from_components(spec, cap, seed)
-    rb = conductor_nodal(spec.total_form, cap, seed)
+    spec, notes = _runner_spec(fixture, prime, cap, 4, _cubic_plus_line)
+    ra = conductor_from_components(spec, seed)
+    rb = conductor_nodal(spec.total_form, seed)
     if len(spec) == 1:
         notes.append("single component: the two routes coincide")
     computed = {
@@ -634,26 +623,26 @@ def run_two_route(seed, prime, cap, fixture):
 
 def run_regularity_syzygy(seed, prime, cap, fixture):
     spec, notes = _runner_spec(
-        fixture, prime, 4,
+        fixture, prime, cap, 4,
         lambda ring: _generic_conic_pair(ring, random.Random(f"regsyz:{seed}")),
     )
-    rep = conductor_from_components(spec, cap, seed)
-    return _stamped(verify_regularity_theorem(rep, spec, cap=cap), seed, notes)
+    rep = conductor_from_components(spec, seed)
+    return _stamped(verify_regularity_theorem(rep, spec), seed, notes)
 
 
 def run_jacobian_syzygy(seed, prime, cap, fixture):
     if fixture is not None:
         spec = _spec_from_fixture(fixture)
         reducible = (len(spec) >= 2) if spec.components_certified else None
-        verdict = jacobian_syzygy_analysis(spec.total_form, reducible, cap)
+        verdict = jacobian_syzygy_analysis(spec.total_form, reducible)
         return _stamped(verdict, seed)
-    ring, notes = _runner_ring(prime, 4)
+    ring, notes = _runner_ring(prime, cap, 4)
     rng = random.Random(f"jacsyz:{seed}")
     # one reducible and one certified-irreducible instance side by side
     pair = _generic_conic_pair(ring, rng)
-    red = jacobian_syzygy_analysis(pair.total_form, True, cap)
-    irr_spec = rational_curve_implicitize(4, seed, ring, cap)
-    irr = jacobian_syzygy_analysis(irr_spec.components[0].form, False, cap)
+    red = jacobian_syzygy_analysis(pair.total_form, True)
+    irr_spec = rational_curve_implicitize(4, seed, ring)
+    irr = jacobian_syzygy_analysis(irr_spec.components[0].form, False)
     computed = {
         "reducible_mu": red.computed["mu"],
         "reducible_laws": red.ok,
@@ -671,16 +660,16 @@ def run_jacobian_syzygy(seed, prime, cap, fixture):
 
 
 def run_linkage(seed, prime, cap, fixture):
-    ring, notes = _runner_ring(prime, 4)
+    ring, notes = _runner_ring(prime, cap, 4)
     monomial = linkage_regularity(
-        [ring.parse("x0^2"), ring.parse("x1^2"), ring.parse("x0*x1")], cap
+        [ring.parse("x0^2"), ring.parse("x1^2"), ring.parse("x0*x1")]
     )
     rng = random.Random(f"linkage:{seed}")
     pair = _generic_conic_pair(ring, rng)
     partials = [
         pair.total_form.partial_derivative(v) for v in range(3)
     ]
-    jac = linkage_regularity(partials, cap)
+    jac = linkage_regularity(partials)
     computed = {
         "monomial_case": monomial.computed,
         "monomial_laws": monomial.ok,
@@ -707,39 +696,39 @@ def run_linkage(seed, prime, cap, fixture):
 
 def run_adjoint_conditions(seed, prime, cap, fixture, curve_degree: int = 4):
     spec, notes = _runner_spec(
-        fixture, prime, curve_degree,
-        lambda ring: rational_curve_implicitize(curve_degree, seed, ring, cap),
+        fixture, prime, cap, curve_degree,
+        lambda ring: rational_curve_implicitize(curve_degree, seed, ring),
     )
-    rep = conductor_nodal(spec.total_form, cap, seed)
-    return _stamped(adjoint_completeness_check(rep, cap=cap), seed, notes)
+    rep = conductor_nodal(spec.total_form, seed)
+    return _stamped(adjoint_completeness_check(rep), seed, notes)
 
 
 def run_component_sequence(seed, prime, cap, fixture, component: int = 0):
-    spec, notes = _runner_spec(fixture, prime, 4, _cubic_plus_line)
-    verdict = conductor_sequence_check(spec, component, cap, seed)
+    spec, notes = _runner_spec(fixture, prime, cap, 4, _cubic_plus_line)
+    verdict = conductor_sequence_check(spec, component, seed)
     return _stamped(verdict, seed, notes)
 
 
 def run_partial_normalization(seed, prime, cap, fixture):
     spec, notes = _runner_spec(
-        fixture, prime, 3,
+        fixture, prime, cap, 3,
         lambda ring: CurveSpec.from_forms(
             [ring.parse("x0"), ring.parse("x1"), ring.parse("x2")]
         ),
     )
-    verdict = partial_normalization_report(spec, cap=cap, seed=seed)
+    verdict = partial_normalization_report(spec, seed)
     return _stamped(verdict, seed, notes)
 
 
 def run_symbolic_square(seed, prime, cap, fixture):
-    ring = default_ring(prime)
+    ring = default_ring(prime, cap)
     triangle = Ideal(
         ring,
         [ring.parse("x0*x1"), ring.parse("x0*x2"), ring.parse("x1*x2")],
     )
-    tri_indeg = indeg(symbolic_square(triangle, cap))
-    pts = determinantal_points(2, seed, ring, cap)
-    pts_indeg = indeg(symbolic_square(pts, cap))
+    tri_indeg = indeg(symbolic_square(triangle))
+    pts = determinantal_points(2, seed, ring)
+    pts_indeg = indeg(symbolic_square(pts))
     computed = {
         "triangle_indeg": tri_indeg,
         "determinantal_indeg": pts_indeg,
@@ -774,7 +763,12 @@ def run_statement(
     fixture=None,
     **params,
 ) -> VerdictReport:
-    """Dispatch one statement id to its runner."""
+    """Dispatch one statement id to its runner.
+
+    prime and cap build the rings a runner makes (`default_ring`).  With a
+    fixture, the fixture's ring governs both: its p and its cap, as set where
+    it was parsed (`parse_fixture`).
+    """
     if statement not in STATEMENTS:
         raise KeyError(statement)
     return STATEMENTS[statement](seed, prime, cap, fixture, **params)

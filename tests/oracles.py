@@ -447,7 +447,7 @@ def minimal_module_generators(elements):
     return [obj for _, _, obj in kept]
 
 
-def quotient_by_loop(a, b, cap: int = DEFAULT_DEGREE_CAP):
+def quotient_by_loop(a, b):
     """Colon a : b as the intersection of the colons by each generator of b,
     2k - 1 module bases for k generators where `ideals.quotient` takes one.
 
@@ -466,9 +466,9 @@ def quotient_by_loop(a, b, cap: int = DEFAULT_DEGREE_CAP):
         shape = FreeModuleShape(2, (0, twist))
         rows = [ModuleElement.from_polynomials(shape, [g, one])]
         rows += [ModuleElement.from_polynomials(shape, [f, zero]) for f in a.gens]
-        gb = groebner_basis(rows, order, cap)
+        gb = groebner_basis(rows, order)
         cur = Ideal(ring, [z.component(1) for z in gb.elements if not z.component(0)])
-        acc = cur if acc is None else intersect(acc, cur, cap)
+        acc = cur if acc is None else intersect(acc, cur)
     return acc
 
 

@@ -107,7 +107,7 @@ def _two_route_invariants(prime=None) -> dict:
         by_jacobian = conductor_nodal(spec.total_form)
         gb_a = sorted(str(g) for g in by_components.conductor.gb().elements)
         gb_b = sorted(str(g) for g in by_jacobian.conductor.gb().elements)
-        norm = partial_normalization_report(spec, by_components)
+        norm = partial_normalization_report(spec)
         out[name] = {
             "degree": d,
             "components": ell,

@@ -5,13 +5,14 @@ import gc
 import hashlib
 import inspect
 import json
+import random
 import shutil
 import weakref
 from pathlib import Path
 
 import pytest
 
-from nodal import cli, groebner, ideals
+from nodal import Ring, cli, groebner, ideals
 from nodal.cli import main
 from nodal.report import VerdictReport
 from nodal.validators import STATEMENTS
@@ -162,6 +163,61 @@ class TestErrorPaths:
         assert "parse error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def engine_caps(monkeypatch):
+    """The cap of each Macaulay engine run, in call order."""
+    caps = []
+    engine = groebner._macaulay_engine
+
+    def counted(p, n, twists, inputs, keyf, cap, *args, **kwargs):
+        caps.append(cap)
+        return engine(p, n, twists, inputs, keyf, cap, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_macaulay_engine", counted)
+    return caps
+
+
+class TestDegreeCapFlag:
+    """--degree-cap is the cap of every ring a command builds, so every
+    basis obeys it and none is computed twice under two caps."""
+
+    def runs_at(self, args, caps, capsys):
+        assert main(args) == 0
+        capsys.readouterr()
+        runs = list(caps)
+        caps.clear()
+        return runs
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["conductor", str(FIXTURES / "cubic-two-conics.fix")],
+            ["verify", "--statement", "nodal-curve-search"],
+            ["verify", "--all"],
+        ],
+        ids=["conductor", "curve-search", "every-statement"],
+    )
+    def test_every_run_at_the_flag_cap(self, args, engine_caps, capsys):
+        default = self.runs_at(args, engine_caps, capsys)
+        assert default and set(default) == {40}
+        for cap in ("39", "60"):
+            runs = self.runs_at(args + ["--degree-cap", cap], engine_caps, capsys)
+            assert runs == [int(cap)] * len(default)
+
+    def test_fixture_parsing_obeys_the_flag(self, tmp_path, capsys):
+        # for a generic form of degree 16, the Jacobian basis with which
+        # CurveSpec checks squarefreeness reaches degree 43
+        ring = Ring("x0,x1,x2")
+        form = ring.random_form(16, random.Random(16))
+        path = tmp_path / "degree16.fix"
+        path.write_text(f"ring p=32003 vars=x0,x1,x2\nimplicit: {form}\n")
+        assert main(["gb", str(path)]) == 3
+        assert "past the cap 40" in capsys.readouterr().err
+        assert main(["gb", str(path), "--degree-cap", "100", "--json"]) == 0
+        monic = form * pow(form.lead_coefficient(), -1, ring.p)
+        assert json.loads(capsys.readouterr().out)["basis"] == [str(monic)]
+
+
 class TestVerify:
     def test_single_statement(self, capsys):
         assert main(["verify", "--statement", "linkage"]) == 0
@@ -276,8 +332,8 @@ class TestCorpus:
         shutil.copy(FIXTURES / "triangle-points.fix", tmp_path)
         rings = []
 
-        def capture(path, prime, _load=cli._load_fixture):
-            fx = _load(path, prime)
+        def capture(path, prime, cap, _load=cli._load_fixture):
+            fx = _load(path, prime, cap)
             rings.append(weakref.ref(fx.ring))
             return fx
 

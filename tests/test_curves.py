@@ -30,7 +30,7 @@ from nodal import (
     scheme_length,
     symbolic_square,
 )
-from nodal import groebner
+from nodal import curves, groebner
 
 import oracles
 
@@ -139,8 +139,8 @@ class TestConductorNodal:
         runs = []
         engine = groebner.macaulay_gb
 
-        def counted(gens, order=None, cap=groebner.DEFAULT_DEGREE_CAP):
-            gb = engine(gens, order, cap)
+        def counted(gens, order=None):
+            gb = engine(gens, order)
             order = order or gb.ring.grevlex
             ident = (type(order).__name__, getattr(order, "perm", None),
                      getattr(order, "elim", None))
@@ -187,6 +187,35 @@ class TestConductorNodal:
     def test_repeated_factor_refused(self, ring):
         with pytest.raises(NonNodalCurveError, match="repeated factor"):
             conductor_nodal(ring.parse("x0^2*x1"))
+
+    def test_one_jacobian_ideal_serves_every_check(self, ring, monkeypatch):
+        # squarefreeness is read off the Jacobian ideal the saturation uses
+        built = []
+        jacobian = curves.jacobian_ideal
+
+        def counted(F):
+            built.append(F)
+            return jacobian(F)
+
+        def unused(f):
+            raise AssertionError("conductor_nodal rebuilt the Jacobian ideal")
+
+        monkeypatch.setattr(curves, "jacobian_ideal", counted)
+        monkeypatch.setattr(curves, "curve_is_squarefree", unused)
+        triangle = ring.parse("x0*x1") * ring.parse("x0 + x1 + x2")
+        assert conductor_nodal(triangle).delta == 3
+        assert len(built) == 1
+        with pytest.raises(NonNodalCurveError, match="repeated factor"):
+            conductor_nodal(ring.parse("x0^2*x1"))
+        assert len(built) == 2
+
+    def test_characteristic_refused_before_squarefreeness(self):
+        # degree 7 at p = 7: the Euler relation fails, and that refusal
+        # comes first, even for a form with a repeated factor
+        r = Ring("x0,x1,x2", p=7)
+        for text in ("x0^7 + x1^7 + x2^7 + x0*x1^3*x2^3", "x0^2*x1^5"):
+            with pytest.raises(CharacteristicError):
+                conductor_nodal(r.parse(text))
 
     def test_tacnode_refused(self, ring):
         # two conics tangent at (0:0:1): contact of order 2, not a node

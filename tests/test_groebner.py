@@ -223,13 +223,13 @@ class TestPackedEngineAgreement:
     def test_exponents_at_the_cap(self):
         # x^255 walks down a chain of 127 reducer rows to y^255, so exponent
         # fields run from 0 to 255, the most a cap of 255 lets a term hold
-        r = Ring("x,y", p=32003)
+        r = Ring("x,y", p=32003, cap=255)
         f1 = r.parse("x^2 + 3*x*y - y^2")
         top = r.parse("x^255")
-        f2 = top - normal_form(top, oracles.buchberger([f1], cap=255), cap=255)
+        f2 = top - normal_form(top, oracles.buchberger([f1], cap=255))
         f2 = f2 + r.parse("y^255")
         assert max(max(m) for m in f2.terms) == 255
-        gb = macaulay_gb([f1, f2], cap=255)
+        gb = macaulay_gb([f1, f2])
         assert list(gb.elements) == list(oracles.buchberger([f1, f2], cap=255).elements)
         assert list(gb.elements) == [f1, r.parse("y^255")]
 
@@ -243,7 +243,7 @@ def assert_interreduction_is_identity(gb):
     if gb.rank1:
         dicts = [{(0, m): c for m, c in d.items()} for d in dicts]
     gels = [groebner._make_gel(gb.ring, d, keyf) for d in dicts]
-    out = groebner._interreduce(gb.ring, gels, keyf, groebner.DEFAULT_DEGREE_CAP)
+    out = groebner._interreduce(gb.ring, gels, keyf, gb.ring.cap)
     assert [g.full for g in out] == dicts
 
 
@@ -351,44 +351,41 @@ class TestSyzygyCompleteness:
         assert not normal_form(koszul, groebner_basis(syz))
 
 
-def assert_syzygies_match_buchberger(gens, cap):
+def assert_syzygies_match_buchberger(gens):
     """syzygy_generators agrees with the same elimination run by the
-    reference Buchberger."""
+    reference Buchberger, under the ring's cap."""
     rows, k = syzygy_rows(gens)
     ring = rows[0].ring
-    gb = oracles.buchberger(rows, PositionOverTerm(ring.grevlex, k + len(rows)), cap)
+    order = PositionOverTerm(ring.grevlex, k + len(rows))
+    gb = oracles.buchberger(rows, order, ring.cap)
     expected = [
         {(c - k, t): v for (c, t), v in z.terms.items()}
         for z in gb
         if all(c >= k for c, _ in z.terms)
     ]
-    got = [z.terms for z in syzygy_generators(gens, cap)]
+    got = [z.terms for z in syzygy_generators(gens)]
     assert sorted(sorted(d.items()) for d in got) == sorted(
         sorted(d.items()) for d in expected
     )
 
 
 class TestDegreeCap:
-    def test_cap_raises(self, ring):
+    def test_cap_raises(self):
         # the S-pair of these leads lives in degree 4
+        ring = Ring("x0,x1,x2", cap=3)
         gens = [ring.parse("x0^2*x1 - x2^3"), ring.parse("x0*x1^2 - x2^3")]
         with pytest.raises(DegreeCapExceeded):
-            groebner_basis(gens, cap=3)
+            groebner_basis(gens)
         with pytest.raises(DegreeCapExceeded):
             oracles.buchberger(gens, cap=3)
 
     def test_cap_past_exponent_limit_refused(self, ring):
-        gens = [ring.parse("x0 - x1 - x2")]
+        # a ring refuses the cap before any basis is asked for
         with pytest.raises(ExponentLimitError):
-            groebner_basis(gens, cap=256)
+            Ring("x0,x1,x2", cap=256)
+        assert Ring("x0,x1,x2", cap=255).cap == 255
         with pytest.raises(ExponentLimitError):
-            groebner_basis(gens + [ring.parse("x0 + 1")], cap=256)
-        with pytest.raises(ExponentLimitError):
-            oracles.buchberger(gens, cap=256)
-        with pytest.raises(ExponentLimitError):
-            syzygy_generators(gens, cap=256)
-        with pytest.raises(ExponentLimitError):
-            normal_form(ring.parse("x0"), groebner_basis(gens), cap=256)
+            oracles.buchberger([ring.parse("x0 - x1 - x2")], cap=256)
 
     def test_reduction_past_exponent_limit_raises(self, ring):
         # exponents past 255 would wrap the packed order key and return a
@@ -405,42 +402,46 @@ class TestDegreeCap:
             b, c = rng.randrange(ring.p), rng.randrange(ring.p)
             assert (f - nf).evaluate((b + c, b, c)) == 0
 
-    def test_lex_tail_past_cap_raises(self, ring):
+    def test_lex_tail_past_cap_raises(self):
         # the S-pair lcm x0*x1^100 has degree 101, but shifting the lex tail
         # x1^200 by x1^100 builds x1^300, past what an order key can hold;
         # homogenized, the lcm x0*x1^100*h^199 itself has degree 300
+        ring = Ring("x0,x1,x2", cap=255)
         gens = [ring.parse("x0 - x1^200"), ring.parse("x0*x1^100 - 1")]
         with pytest.raises(DegreeCapExceeded):
-            groebner_basis(gens, order=Lex(3), cap=255)
+            groebner_basis(gens, order=Lex(3))
         with pytest.raises(DegreeCapExceeded):
             oracles.buchberger(gens, order=Lex(3), cap=255)
 
-    def test_cap_bounds_monomial_degree_in_twisted_modules(self, ring):
+    def test_cap_bounds_monomial_degree_in_twisted_modules(self):
         # module degrees reach 32 here, but no monomial passes degree 2
+        ring = Ring("x0,x1,x2", cap=5)
         shape = FreeModuleShape(1, (30,))
         x0, x1, _ = ring.gens()
         gens = [ModuleElement.from_polynomials(shape, [f]) for f in (x0, x1)]
-        gb = groebner_basis(gens, cap=5)
+        gb = groebner_basis(gens)
         assert list(gb.elements) == list(oracles.buchberger(gens, cap=5).elements)
         syz = ModuleElement.from_polynomials(FreeModuleShape(2, (31, 31)), [x1, -x0])
-        assert syzygy_generators(gens, cap=5) == [syz]
-        assert_syzygies_match_buchberger(gens, 5)
+        assert syzygy_generators(gens) == [syz]
+        assert_syzygies_match_buchberger(gens)
 
     @pytest.mark.parametrize("power, cap", [(2, 5), (14, 40)])
-    def test_cap_bounds_monomial_degree_of_syzygy_pairs(self, ring, power, cap):
+    def test_cap_bounds_monomial_degree_of_syzygy_pairs(self, power, cap):
         # the S-pair of two Koszul syzygies sits in module degree
         # 2*power + power, past the cap, but builds monomials of degree
         # 2*power only
+        ring = Ring("x0,x1,x2", cap=cap)
         gens = [ring.gens()[i] ** power for i in range(3)]
-        syz = syzygy_generators(gens, cap=cap)
+        syz = syzygy_generators(gens)
         assert len(syz) == 3
         assert all(z.module_degree() == 2 * power for z in syz)
-        assert_syzygies_match_buchberger(gens, cap)
+        assert_syzygies_match_buchberger(gens)
 
-    def test_cap_not_hit_when_criteria_settle_pairs(self, ring):
+    def test_cap_not_hit_when_criteria_settle_pairs(self):
         # coprime leads: both engines finish without touching degree 6
+        ring = Ring("x0,x1,x2", cap=3)
         gens = [ring.parse("x0^3 - x1^2*x2"), ring.parse("x1^3 - x0*x2^2")]
-        assert len(groebner_basis(gens, cap=3)) == 2
+        assert len(groebner_basis(gens)) == 2
         assert len(oracles.buchberger(gens, cap=3)) == 2
 
 
@@ -791,11 +792,20 @@ class TestBasisCache:
         finally:
             gc.enable()
 
-    def test_cap_is_part_of_the_key(self, ring):
-        gens = [ring.parse("x0^2*x1 - x2^3"), ring.parse("x0*x1^2 - x2^3")]
-        assert len(groebner_basis(gens)) > 2
-        with pytest.raises(DegreeCapExceeded):
-            groebner_basis(gens, cap=3)
+    def test_cap_is_part_of_the_ring(self):
+        # the same generators over rings with caps 3 and 40: each ring's
+        # cache serves its own cap, in either order
+        texts = ["x0^2*x1 - x2^3", "x0*x1^2 - x2^3"]
+        low, high = Ring("x0,x1,x2", cap=3), Ring("x0,x1,x2", cap=40)
+        assert low != high
+        for first, second in ((low, high), (high, low)):
+            for r in (first, second):
+                gens = [r.parse(t) for t in texts]
+                if r is low:
+                    with pytest.raises(DegreeCapExceeded):
+                        groebner_basis(gens)
+                else:
+                    assert len(groebner_basis(gens)) > 2
 
     def test_order_arity_checked_before_lookup(self, ring):
         gens = [ring.parse(t) for t in CACHE_GENS]

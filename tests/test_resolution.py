@@ -273,7 +273,7 @@ class TestMinimization:
         plain = FreeModuleShape.plain(1)
         rels = [ModuleElement.from_polynomials(plain, [g]) for g in gens]
         with pytest.raises(InvariantViolation, match="resolution not minimal"):
-            _resolve(ring, (0,), rels, tri.gb().hilbert_numerator, 40)
+            _resolve(ring, (0,), rels, tri.gb().hilbert_numerator)
 
 
 class TestHilbert:

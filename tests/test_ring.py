@@ -1,18 +1,28 @@
 """Ring arithmetic, orders, parsing and printing."""
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import nodal
 from nodal import (
     CharacteristicError,
     ExponentLimitError,
     Grevlex,
+    Ideal,
+    InvariantViolation,
     Lex,
     ParseError,
     Ring,
     RingMismatchError,
+    default_ring,
+    groebner,
+    intersect,
     parse_fixture,
 )
+from nodal.validators import STATEMENTS
 
 from oracles import naive_mul, random_projective_point
 
@@ -63,6 +73,80 @@ class TestRingConstruction:
     def test_equality_is_structural(self):
         assert Ring("x0,x1") == Ring("x0,x1")
         assert Ring("x0,x1") != Ring("x0,x1", p=32009)
+
+    def test_cap_is_checked_where_a_ring_is_built(self):
+        assert Ring("x0,x1").cap == nodal.DEFAULT_DEGREE_CAP == 40
+        assert groebner.DEFAULT_DEGREE_CAP == 40
+        assert Ring("x0,x1", cap=255).cap == 255
+        assert default_ring(32003, 39).cap == 39
+        assert parse_fixture(TWO_LINES_FIXTURE, None, 39).ring.cap == 39
+        for build in (
+            lambda: Ring("x0,x1", cap=256),
+            lambda: default_ring(32003, 256),
+            lambda: parse_fixture(TWO_LINES_FIXTURE, None, 256),
+        ):
+            with pytest.raises(ExponentLimitError):
+                build()
+
+    def test_cap_is_part_of_equality(self):
+        a, b = Ring("x0,x1,x2", cap=39), Ring("x0,x1,x2", cap=39)
+        c = Ring("x0,x1,x2")
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+        # the ring checks refuse anything that mixes caps
+        with pytest.raises(RingMismatchError):
+            a.gen(0) * c.gen(1)
+        with pytest.raises(ValueError):
+            Ideal(a, [c.gen(0)])
+        with pytest.raises(InvariantViolation):
+            intersect(Ideal(a, [a.gen(0)]), Ideal(c, [c.gen(1)]))
+
+
+TWO_LINES_FIXTURE = "ring p=32003 vars=x0,x1,x2\ncomponent: x0\ncomponent: x1\n"
+
+# the callables that build rings, and so take a degree cap, and the check
+# they run on it
+RING_BUILDERS = {
+    "nodal.ring.check_degree_cap",
+    "nodal.ring.Ring",
+    "nodal.curves.default_ring",
+    "nodal.curves.parse_fixture",
+    "nodal.validators.run_statement",
+} | {f"nodal.validators.{runner.__name__}" for runner in STATEMENTS.values()}
+
+
+def _public_callables():
+    """(qualified name, callable) for every public function, class and public
+    method defined in a `nodal` module.  Exceptions are skipped: they record
+    a refusal, such as the cap a computation hit, and compute nothing."""
+    for info in pkgutil.iter_modules(nodal.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"nodal.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            qual = f"{mod.__name__}.{name}"
+            if inspect.isfunction(obj):
+                yield qual, obj
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                yield qual, obj
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if not attr.startswith("_") and inspect.isroutine(member):
+                        yield f"{qual}.{attr}", member
+
+
+def test_only_ring_builders_take_a_cap():
+    found = dict(_public_callables())
+    assert "nodal.ideals.Ideal.gb" in found and "nodal.ideals.codimension" in found
+    takes = {
+        qual
+        for qual, obj in found.items()
+        if "cap" in inspect.signature(obj).parameters
+    }
+    assert takes == RING_BUILDERS
 
 
 class TestArithmetic:

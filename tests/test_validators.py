@@ -1,5 +1,6 @@
 """Statement validators against worked examples with frozen values."""
 import gc
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +15,13 @@ from nodal import (
     conductor_nodal,
     intersect,
     jacobian_ideal,
+    parse_fixture,
     rational_curve_implicitize,
     saturate,
 )
 from nodal import validators
 from nodal.groebner import GroebnerBasis
+import oracles
 from nodal.validators import (
     STATEMENTS,
     adjoint_completeness_check,
@@ -31,9 +34,29 @@ from nodal.validators import (
 )
 
 
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+CURVE_FIXTURES = [
+    p for p in sorted(FIXTURES.glob("*.fix")) if "generator:" not in p.read_text()
+]
+
+
 @pytest.fixture
 def ring():
     return Ring("x0,x1,x2", p=32003)
+
+
+def oracle_mu(F) -> int:
+    """Least degree of a syzygy of the nonzero partials, minus d - 1, by
+    dense linear algebra; 0 when a partial vanishes."""
+    d = F.homogeneous_degree()
+    live = [F.partial_derivative(v) for v in range(3)]
+    live = [g for g in live if g]
+    if len(live) < 3:
+        return 0
+    e = d - 1
+    while not oracles.syzygy_dim(live, e):
+        e += 1
+    return e - (d - 1)
 
 
 def two_conics(ring):
@@ -145,6 +168,20 @@ class TestJacobianSyzygies:
         v = jacobian_syzygy_analysis(spec.total_form, reducible=True)
         assert v.ok
         assert v.computed["mu"] == 2
+
+    @pytest.mark.parametrize("path", CURVE_FIXTURES, ids=lambda p: p.stem)
+    def test_mu_matches_the_dense_syzygy_oracle(self, path, monkeypatch):
+        # mu comes from the Hilbert series of the Jacobian ideal, with no
+        # syzygy module computed; the oracle is the kernel dimension of the
+        # partials' multiples, degree by degree
+        def unused(gens):
+            raise AssertionError("mu computed a syzygy module")
+
+        monkeypatch.setattr(validators, "syzygy_generators", unused)
+        spec = parse_fixture(path.read_text()).curve
+        forms = [spec.total_form] + [c.form for c in spec.components]
+        for F in forms:
+            assert jacobian_syzygy_analysis(F).computed["mu"] == oracle_mu(F), F
 
     def test_unknown_reducibility_is_noted(self, ring):
         v = jacobian_syzygy_analysis(ring.parse("x0*x1"), reducible=None)
