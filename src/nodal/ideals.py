@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement
 from operator import le
@@ -36,7 +36,7 @@ from .groebner import (
     groebner_basis,
     normal_form,
 )
-from .ring import Grevlex, Polynomial, Ring, grevlex_monomials
+from .ring import Grevlex, Polynomial, Ring, grevlex_monomials, mono_mul
 
 
 class Ideal:
@@ -495,7 +495,7 @@ def indeg(a: Ideal) -> int:
 
 @dataclass
 class ReducednessReport:
-    """Outcome of the generic-projection certificate for a point scheme."""
+    """Outcome of the reducedness certificate for a point scheme."""
 
     reduced: bool
     length: int
@@ -503,12 +503,7 @@ class ReducednessReport:
     attempts: int
 
     def as_dict(self):
-        return {
-            "reduced": self.reduced,
-            "length": self.length,
-            "distinct_points": self.distinct_points,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=None)
@@ -595,8 +590,6 @@ def _uni_rem(a: list[int], b: list[int], p: int) -> list[int]:
         for k in range(len(b)):
             a[off + k] = (a[off + k] - f * b[k]) % p
         _uni_trim(a)
-        if not a:
-            break
     return a
 
 
@@ -604,105 +597,111 @@ def _uni_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _uni_trim(list(a)), _uni_trim(list(b))
     while b:
         a, b = b, _uni_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
     return a
 
 
-def _binary_form_squarefree(coeffs, delta: int, p: int) -> bool:
-    """Squarefree test for sum(coeffs[a] * u^a * v^(delta-a))."""
-    c = _uni_trim([int(x) % p for x in coeffs])
-    if not c:
-        raise InvariantViolation("zero binary form")
-    if delta - (len(c) - 1) >= 2:
-        return False  # the v-root repeats
-    d = _uni_deriv(c, p)
-    if not d:
-        return len(c) == 1  # constant in u: fine only when delta contributes <= 1
-    return len(_uni_gcd(c, d, p)) == 1
+def _multiplication_matrices(gb: GroebnerBasis, r: int) -> np.ndarray:
+    """X[i], the matrix of multiplication by x_i from (S/I)_r to (S/I)_{r+1}:
+    row j is the normal form of x_i * m_j, m_j the j-th standard monomial of
+    degree r, over the standard monomials of degree r + 1, by one forward
+    substitution against the degree-(r+1) slice."""
+    ring = gb.ring
+    leads = gb.lead_monomials()
+    std = [m for m in ring.monomials_of_degree(r) if not any(all(map(le, g, m)) for g in leads)]
+    index = {m: k for k, m in enumerate(ring.monomials_of_degree(r + 1))}
+    units = ring.monomials_of_degree(1)
+    W = np.eye(len(index), dtype=np.int64)[[index[mono_mul(u, m)] for u in units for m in std]]
+    cols, vals = _degree_slice(gb, r + 1)
+    free = np.setdiff1d(np.arange(len(index)), cols[:, 0])
+    X = linalg.reduce_mod_echelon(cols, vals, W, ring.p)[:, free]
+    return X.reshape(3, len(std), len(std))
 
 
-def _projection_rows(lin, delta: int, p: int, monos):
-    """Coefficient rows of l1^k * l2^(delta-k), k = 0..delta, over `monos`.
+def _at_matrices(w: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
+    """l(X) = sum of w_i X_i for l with coefficients w; each product is reduced
+    mod p before the sum, so int64 holds it for every p below PRIME_LIMIT."""
+    return (w[:, None, None] * X % p).sum(axis=0) % p
 
-    lin is the 2x3 int64 matrix of the coefficients, residues mod p, of x0,
-    x1, x2 in l1 and l2; monos lists the degree-delta monomials of a
-    3-variable ring.  A[k, a, b] holds the coefficient of
-    x0^a * x1^b * x2^(d-a-b) in l1^k * l2^(d-k).
-    Going from degree d to d+1, row 0 gains a factor l2 and row k the factor
-    l1 times row k-1; multiplying by a linear form is three shifted adds over
-    the whole stack.  Each product of two residues is below p^2 < 2^62 and is
-    reduced before the adds, so a sum of three stays below 3p and int64 is
-    exact for every p below linalg.PRIME_LIMIT.
-    """
-    A = np.ones((1, 1, 1), dtype=np.int64)
-    for d in range(delta):
-        src = np.concatenate([A[:1], A])
-        coef = np.concatenate([lin[1:], np.broadcast_to(lin[0], (d + 1, 3))])
-        nxt = np.zeros((d + 2, d + 2, d + 2), dtype=np.int64)
-        nxt[:, 1:, :-1] += coef[:, 0, None, None] * src % p
-        nxt[:, :-1, 1:] += coef[:, 1, None, None] * src % p
-        nxt[:, :-1, :-1] += coef[:, 2, None, None] * src % p
-        A = nxt % p
-    a_idx = [m[0] for m in monos]
-    b_idx = [m[1] for m in monos]
-    return A[:, a_idx, b_idx]
+
+def _charpoly(T: np.ndarray, p: int) -> list[int]:
+    """det(t - T) mod p, coefficients from t^0 up, by similarity to upper
+    Hessenberg form H and the recurrence along its subdiagonal (H. Cohen, *A
+    Course in Computational Algebraic Number Theory*, Alg. 2.2.9).  Every
+    product of two residues is reduced mod p before it is summed."""
+    H = np.array(T, dtype=np.int64) % p
+    n = len(H)
+    for j in range(n - 2):
+        nz = np.nonzero(H[j + 1 :, j])[0]
+        if nz.size == 0:
+            continue
+        i = j + 1 + int(nz[0])
+        H[[i, j + 1]] = H[[j + 1, i]]
+        H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        # row k -= u_k * row j+1 clears column j below the subdiagonal, and
+        # column j+1 += sum u_k * column k keeps H similar to T
+        u = H[j + 2 :, j] * pow(int(H[j + 1, j]), -1, p) % p
+        H[j + 2 :, j:] = (H[j + 2 :, j:] - u[:, None] * H[j + 1, j:]) % p
+        H[:, j + 1] = (H[:, j + 1] + (H[:, j + 2 :] * u % p).sum(axis=1)) % p
+    h = H.tolist()
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)  # P[m] = det(t - H[:m, :m])
+    P[0, 0] = 1
+    for m in range(1, n + 1):
+        # P[m] = t P[m-1] - sum over k < m of h[k][m-1] * h[k+1][k] * ...
+        # * h[m-1][m-2] * P[k]
+        w, run = [h[m - 1][m - 1]], 1
+        for k in range(m - 2, -1, -1):
+            run = run * h[k + 1][k] % p
+            w.append(h[k][m - 1] * run % p)
+        P[m, 1:] = P[m - 1, :-1]
+        P[m] = (P[m] - (np.array(w[::-1])[:, None] * P[:m] % p).sum(axis=0)) % p
+    return P[n].tolist()
 
 
 def points_are_reduced(a: Ideal, seed: int = 0, attempts: int = 8) -> ReducednessReport:
-    """Certify that a saturated finite scheme in the plane is reduced.
+    """Certify that a saturated finite scheme Z in the plane is reduced.
 
-    Project from a random point: with W the span of the products
-    l1^k * l2^(delta-k) of two random linear forms, the slice (ideal)_delta
-    meets W in dimension one exactly when the projection is injective on the
-    scheme, and the unique binary form in the intersection is the image
-    cycle.  A squarefree image certifies delta distinct reduced points.  A
-    repeated factor or a fat intersection can be bad luck of the projection
-    center, so the test retries; schemes with embedded or fat structure fail
-    every attempt.
+    Let delta be its length, r the first degree with HF(r) = delta, and X_i
+    the delta x delta matrices of multiplication by x_i from (S/I)_r to
+    (S/I)_{r+1} (`_multiplication_matrices`).  For M = l'(X) invertible,
+    M^-1 l(X) is multiplication by l/l' on the coordinate ring of Z, whose
+    characteristic polynomial is the product of (t - (l/l')(P))^mult(P) over
+    the points P (Stickelberger; D. Cox, J. Little and D. O'Shea, *Using
+    Algebraic Geometry*, ch. 2 §4).  It is squarefree exactly when Z is
+    reduced and the projection from l1 = l2 = 0 separates its points.  Each
+    attempt draws l1, l2 and takes the first invertible l2(X) + c l1(X),
+    c = 0, 1, ...; det(u l1(X) + v l2(X)) vanishes identically only when the
+    center lies on Z, so for p > delta some c <= delta works, while for
+    p <= delta every c in F_p may fail the attempt.  A bad center can
+    fail by luck, so the test retries; fat structure fails every attempt.
 
-    The rows spanning W come from `_projection_rows`, a numpy recurrence on
-    the coefficient matrix of (l1, l2) that is exact in int64: every term
-    stays below 3p before its final reduction.  They are reduced modulo the
-    slice by `linalg.reduce_mod_echelon`, a forward substitution against the
-    slice rows as `_degree_slice` builds them, already in echelon form with
-    unit leads; no echelon form of the slice is computed.  Each of its updates
-    forms b - v*c from residues b, v, c, a value in (-(p-1)^2, p) that int64
-    holds exactly for every p below linalg.PRIME_LIMIT = 2^31, and reduces it
-    mod p at once.
+    Every step is a row operation b - v*c on residues, in (-(p-1)^2, p), or a
+    sum of at most delta + 1 residues or products reduced mod p first, so
+    int64 is exact for every p below linalg.PRIME_LIMIT = 2^31.
     """
     ring = a.ring
     if ring.nvars != 3:
-        raise ValueError("the projection certificate works in the plane")
+        raise ValueError("the reducedness certificate works in the plane")
     if codimension(a) < 2:
         raise ValueError("not a finite scheme")
     delta = scheme_length(a)
     if delta == 0:
         return ReducednessReport(True, 0, 0, 0)
+    r = next(e for e in range(delta) if a.quotient_dim(e) == delta)
+    X = _multiplication_matrices(a.gb(), r)
+    units, p = ring.monomials_of_degree(1), ring.p
     rng = random.Random(seed)
-    cols, vals = _degree_slice(a.gb(), delta)
-    monos = ring.monomials_of_degree(delta)
-    used = 0
-    for _ in range(attempts):
-        used += 1
-        l1 = ring.random_linear(rng)
-        l2 = ring.random_linear(rng)
-        lin = np.zeros((2, 3), dtype=np.int64)
-        for j, f in enumerate((l1, l2)):
-            for m, c in f.terms.items():
-                lin[j, m.index(1)] = c
-        if linalg.rank(lin, ring.p) < 2:
+    for used in range(1, attempts + 1):
+        l1, l2 = ring.random_linear(rng), ring.random_linear(rng)
+        lin = np.array([[f.terms.get(m, 0) for m in units] for f in (l1, l2)])
+        if linalg.rank(lin, p) < 2:
             continue
-        wrows = _projection_rows(lin, delta, ring.p, monos)
-        reduced_w = linalg.reduce_mod_echelon(cols, vals, wrows, ring.p)
-        lam = linalg.nullspace(reduced_w.T, ring.p)
-        if lam.shape[0] == 0:
-            raise InvariantViolation("no cycle form found in the slice")
-        if lam.shape[0] > 1:
-            # two independent forms through the scheme: fat structure or a
-            # degenerate center; try another center
-            continue
-        if _binary_form_squarefree(lam[0], delta, ring.p):
-            return ReducednessReport(True, delta, delta, used)
-    return ReducednessReport(False, delta, None, used)
+        A, B = (_at_matrices(w, X, p) for w in lin)
+        for c in range(min(p, delta + 1)):
+            # one rref of [M | A] tests M = B + c A and forms T = M^-1 A
+            R, pivots = linalg.rref(np.hstack([(B + c * A % p) % p, A]), p)
+            if len(pivots) == delta and pivots[-1] < delta:
+                chi = _charpoly(R[:, delta:], p)
+                if len(_uni_gcd(chi, _uni_deriv(chi, p), p)) == 1:
+                    return ReducednessReport(True, delta, delta, used)
+                break
+    return ReducednessReport(False, delta, None, attempts)

@@ -185,16 +185,16 @@ def check_characteristic(p: int) -> None:
 
 
 def check_degree_cap(cap: int) -> None:
-    """Refuse a total-degree cap above MAX_EXPONENT.
+    """Refuse a total-degree cap outside 0..MAX_EXPONENT.
 
     The Groebner engine builds no monomial of total degree above its ring's
     cap, so a cap within it keeps every exponent, and every order key, in
-    bounds.  `Ring` checks its cap here, and the command line its
-    --degree-cap flag.
+    bounds.  A negative cap is no budget at all.  `Ring` checks its cap
+    here, and the command line its --degree-cap flag.
     """
-    if cap > MAX_EXPONENT:
+    if not 0 <= cap <= MAX_EXPONENT:
         raise ExponentLimitError(
-            f"degree cap {cap} is above the exponent limit {MAX_EXPONENT}"
+            f"degree cap {cap} is outside 0..{MAX_EXPONENT}, the exponent limit"
         )
 
 

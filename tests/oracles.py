@@ -9,10 +9,14 @@ Buchberger's pair loop on term dicts.  It shares the pair criteria
 of the Macaulay engine: no packed terms, no symbolic preprocessing, no
 matrices.  `quotient_by_loop` is a reference route, not an independent
 oracle: a different module construction on the same engine.
+`projection_certificate` is the reducedness certificate by projection in
+degree delta, the route `ideals.points_are_reduced` took before it read
+multiplication matrices; it shares the degree slice and the gcd helpers.
 """
 from __future__ import annotations
 
 import heapq
+import random
 from itertools import combinations
 from math import comb
 
@@ -33,7 +37,17 @@ from nodal.groebner import (
     _normal_form_dict,
     groebner_basis,
 )
-from nodal.ideals import Ideal, intersect
+from nodal.ideals import (
+    Ideal,
+    ReducednessReport,
+    _degree_slice,
+    _uni_deriv,
+    _uni_gcd,
+    _uni_trim,
+    codimension,
+    intersect,
+    scheme_length,
+)
 from nodal.ring import (
     Mono,
     Polynomial,
@@ -604,3 +618,102 @@ def random_projective_point(ring: Ring, rng):
         pt = tuple(rng.randrange(ring.p) for _ in range(ring.nvars))
         if any(pt):
             return pt
+
+
+# ---------------------------------------------------------------------------
+# Reducedness certificate by projection in degree delta
+
+
+def projection_rows(lin, delta: int, p: int, monos):
+    """Coefficient rows of l1^k * l2^(delta-k), k = 0..delta, over `monos`.
+
+    lin is the 2x3 int64 matrix of the coefficients, residues mod p, of x0,
+    x1, x2 in l1 and l2; monos lists the degree-delta monomials of a
+    3-variable ring.  A[k, a, b] holds the coefficient of
+    x0^a * x1^b * x2^(d-a-b) in l1^k * l2^(d-k).
+    Going from degree d to d+1, row 0 gains a factor l2 and row k the factor
+    l1 times row k-1; multiplying by a linear form is three shifted adds over
+    the whole stack.  Each product of two residues is below p^2 < 2^62 and is
+    reduced before the adds, so a sum of three stays below 3p and int64 is
+    exact for every p below linalg.PRIME_LIMIT.
+    """
+    A = np.ones((1, 1, 1), dtype=np.int64)
+    for d in range(delta):
+        src = np.concatenate([A[:1], A])
+        coef = np.concatenate([lin[1:], np.broadcast_to(lin[0], (d + 1, 3))])
+        nxt = np.zeros((d + 2, d + 2, d + 2), dtype=np.int64)
+        nxt[:, 1:, :-1] += coef[:, 0, None, None] * src % p
+        nxt[:, :-1, 1:] += coef[:, 1, None, None] * src % p
+        nxt[:, :-1, :-1] += coef[:, 2, None, None] * src % p
+        A = nxt % p
+    a_idx = [m[0] for m in monos]
+    b_idx = [m[1] for m in monos]
+    return A[:, a_idx, b_idx]
+
+
+def binary_form_squarefree(coeffs, delta: int, p: int) -> bool:
+    """Squarefree test for sum(coeffs[a] * u^a * v^(delta-a))."""
+    c = _uni_trim([int(x) % p for x in coeffs])
+    if not c:
+        raise AssertionError("zero binary form")
+    if delta - (len(c) - 1) >= 2:
+        return False  # the v-root repeats
+    d = _uni_deriv(c, p)
+    if not d:
+        return len(c) == 1  # constant in u: fine only when delta contributes <= 1
+    return len(_uni_gcd(c, d, p)) == 1
+
+
+def projection_certificate(a: Ideal, seed: int = 0, attempts: int = 8) -> ReducednessReport:
+    """Reducedness of a saturated plane point scheme by projection.
+
+    With W the span of the products l1^k * l2^(delta-k) of two random linear
+    forms, the slice a_delta meets W in dimension one exactly when the
+    projection from the center l1 = l2 = 0 is injective on the scheme, and the
+    binary form in the intersection is the image cycle; a squarefree image
+    certifies delta distinct reduced points.  The rows of W are reduced
+    modulo the slice by forward substitution (`linalg.reduce_mod_echelon`)
+    and the intersection is their nullspace.  Draws the same linear forms
+    from random.Random(seed), and counts attempts the same way, as
+    `ideals.points_are_reduced`.
+    """
+    ring = a.ring
+    if ring.nvars != 3:
+        raise ValueError("the projection certificate works in the plane")
+    if codimension(a) < 2:
+        raise ValueError("not a finite scheme")
+    delta = scheme_length(a)
+    if delta == 0:
+        return ReducednessReport(True, 0, 0, 0)
+    rng = random.Random(seed)
+    cols, vals = _degree_slice(a.gb(), delta)
+    monos = ring.monomials_of_degree(delta)
+    used = 0
+    for _ in range(attempts):
+        used += 1
+        l1 = ring.random_linear(rng)
+        l2 = ring.random_linear(rng)
+        lin = linear_coefficients(l1, l2)
+        if linalg.rank(lin, ring.p) < 2:
+            continue
+        wrows = projection_rows(lin, delta, ring.p, monos)
+        reduced_w = linalg.reduce_mod_echelon(cols, vals, wrows, ring.p)
+        lam = linalg.nullspace(reduced_w.T, ring.p)
+        if lam.shape[0] == 0:
+            raise AssertionError("no cycle form found in the slice")
+        if lam.shape[0] > 1:
+            # two independent forms through the scheme: fat structure or a
+            # degenerate center; try another center
+            continue
+        if binary_form_squarefree(lam[0], delta, ring.p):
+            return ReducednessReport(True, delta, delta, used)
+    return ReducednessReport(False, delta, None, used)
+
+
+def linear_coefficients(*forms) -> np.ndarray:
+    """The int64 matrix of the coefficients of x0, x1, x2 in linear forms."""
+    lin = np.zeros((len(forms), 3), dtype=np.int64)
+    for j, f in enumerate(forms):
+        for m, c in f.terms.items():
+            lin[j, m.index(1)] = c
+    return lin

@@ -208,9 +208,9 @@ def test_criterion_03_determinantal_m3():
     elapsed = time.perf_counter() - t0
     _accept(
         3,
-        ok and elapsed < 2.0,
+        ok and elapsed < 1.0,
         f"m=3: delta=57, reg=13, four degree-9 generators "
-        f"({elapsed:.1f}s < 2s)",
+        f"({elapsed:.1f}s < 1s)",
     )
 
 

@@ -144,6 +144,22 @@ class TestErrorPaths:
             assert main(args) == 2
             assert "--degree-cap" in capsys.readouterr().err
 
+    def test_negative_degree_cap_refused(self, points_fix, capsys):
+        # a negative cap is refused like one past 255; cap 0 is a budget
+        # that the first basis exhausts
+        for args in (
+            ["gb", str(points_fix), "--degree-cap", "-1"],
+            ["conductor", str(FIXTURES / "two-lines.fix"), "--degree-cap", "-1"],
+        ):
+            assert main(args) == 2
+            assert "--degree-cap" in capsys.readouterr().err
+        for args in (
+            ["gb", str(points_fix), "--degree-cap", "0"],
+            ["conductor", str(FIXTURES / "two-lines.fix"), "--degree-cap", "0"],
+        ):
+            assert main(args) == 3
+            assert "degree cap" in capsys.readouterr().err
+
     def test_prime_limit(self, points_fix, capsys):
         # 2^31 - 1 is the largest prime exact int64 elimination allows
         assert main(["gb", str(points_fix), "--prime", "2147483647", "--json"]) == 0

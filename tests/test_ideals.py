@@ -15,8 +15,10 @@ from nodal import (
 )
 from nodal.ideals import (
     Ideal,
+    _at_matrices,
+    _charpoly,
     _degree_slice,
-    _projection_rows,
+    _multiplication_matrices,
     codimension,
     curve_is_squarefree,
     hilbert_numerator,
@@ -678,8 +680,8 @@ class TestFiniteSchemes:
 
 
 def _projection_rows_reference(l1, l2, delta, monos):
-    """Rows l1^k * l2^(delta-k) from Polynomial products, the loop that
-    points_are_reduced used before its numpy recurrence."""
+    """Rows l1^k * l2^(delta-k) from Polynomial products, the loop the
+    projection certificate used before its numpy recurrence."""
     ring = l1.ring
     col = {m: i for i, m in enumerate(monos)}
     pow1 = [ring.one()]
@@ -707,13 +709,10 @@ class TestProjectionRows:
             (ring.parse("x2"), ring.parse("x0 - x1")),
         ]
         for l1, l2 in pairs:
-            lin = np.zeros((2, 3), dtype=np.int64)
-            for j, f in enumerate((l1, l2)):
-                for m, c in f.terms.items():
-                    lin[j, m.index(1)] = c
+            lin = oracles.linear_coefficients(l1, l2)
             for delta in (1, 2, 19, 36):
                 monos = ring.monomials_of_degree(delta)
-                got = _projection_rows(lin, delta, p, monos)
+                got = oracles.projection_rows(lin, delta, p, monos)
                 want = _projection_rows_reference(l1, l2, delta, monos)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (str(l1), str(l2), delta)
@@ -721,7 +720,7 @@ class TestProjectionRows:
 
 def _slice_rows_reference(gb, degree):
     """Dense degree slice by a Python scan over monomials and leads, the
-    builder that points_are_reduced and graded_basis used before the numpy
+    builder that the certificate and graded_basis used before the numpy
     lead map."""
     ring = gb.ring
     monos = ring.monomials_of_degree(degree)
@@ -747,18 +746,22 @@ def _slice_rows_reference(gb, degree):
 
 def _reduced_projection_reference(gb, degree, W):
     """Rows of W reduced modulo the degree slice through a dense rref, the
-    route points_are_reduced took before forward substitution."""
+    route the projection certificate took before forward substitution."""
     p = gb.ring.p
     R, pivots = linalg.rref(_slice_rows_reference(gb, degree), p)
     return oracles.reduce_rows(R, pivots, W, p), pivots
 
 
-def _random_points_ideal(ring, rng, count):
+def _points_ideal(ring, pts):
     meet = None
-    for _ in range(count):
-        cur = point_ideal(ring, oracles.random_projective_point(ring, rng))
+    for pt in pts:
+        cur = point_ideal(ring, pt)
         meet = cur if meet is None else intersect(meet, cur)
     return meet
+
+
+def _random_points_ideal(ring, rng, count):
+    return _points_ideal(ring, [oracles.random_projective_point(ring, rng) for _ in range(count)])
 
 
 class TestDegreeSlice:
@@ -791,7 +794,7 @@ class TestDegreeSlice:
                 np.array([[1, 0, 1], [0, p - 1, 0]], dtype=np.int64),
             ]
             for lin in lins:
-                W = _projection_rows(lin, delta, p, monos)
+                W = oracles.projection_rows(lin, delta, p, monos)
                 want, pivots = _reduced_projection_reference(gb, delta, W)
                 got = linalg.reduce_mod_echelon(cols, vals, W, p)
                 assert cols[:, 0].tolist() == pivots
@@ -865,3 +868,141 @@ class TestReducedness:
     def test_rejects_a_curve(self, ring):
         with pytest.raises(ValueError):
             points_are_reduced(Ideal.parse(ring, ["x0*x1*x2"]))
+
+
+def _det(M, p):
+    """Determinant mod p by Gaussian elimination on Python integers."""
+    M = [[int(x) % p for x in row] for row in M]
+    out = 1
+    for c in range(len(M)):
+        piv = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            out = -out
+        out = out * M[c][c] % p
+        inv = pow(M[c][c], -1, p)
+        for r in range(c + 1, len(M)):
+            f = M[r][c] * inv % p
+            M[r] = [(a - f * b) % p for a, b in zip(M[r], M[c])]
+    return out % p
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("p", [7, 32003, PRIME_LIMIT - 1])
+    def test_matches_determinants(self, p):
+        # dense and sparse matrices, so the Hessenberg reduction swaps rows
+        # and meets zero subdiagonals; chi(t) = det(t - T) at several t
+        rng = random.Random(p)
+        for n in (1, 2, 3, 6, 11):
+            for density in (1.0, 0.3):
+                T = np.array(
+                    [
+                        [rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)
+                    ],
+                    dtype=np.int64,
+                )
+                chi = _charpoly(T, p)
+                assert len(chi) == n + 1 and chi[-1] == 1
+                for t in (0, 1, rng.randrange(p), p - 1):
+                    value = sum(c * pow(t, k, p) for k, c in enumerate(chi)) % p
+                    assert value == _det(t * np.eye(n, dtype=np.int64) - T, p)
+
+
+class TestMultiplicationMatrices:
+    def test_rows_are_normal_forms(self, ring):
+        # 5 general points: HF = 1, 3, 5, so r = 2 and X_i maps degree 2 to 3
+        ideal = _random_points_ideal(ring, random.Random(47), 5)
+        gb = ideal.gb()
+        leads = lead_set(ideal)
+
+        def standard(degree):
+            return [
+                m for m in ring.monomials_of_degree(degree)
+                if not any(all(a >= b for a, b in zip(m, g)) for g in leads)
+            ]
+
+        rows, cols = standard(2), standard(3)
+        X = _multiplication_matrices(gb, 2)
+        assert X.shape == (3, 5, 5)
+        for i in range(3):
+            for j, m in enumerate(rows):
+                nf = groebner.normal_form(ring.gen(i) * ring.monomial(m), gb)
+                assert X[i, j].tolist() == [nf.terms.get(c, 0) for c in cols]
+
+    def test_linear_form_exact_at_the_top_prime(self):
+        # three products of residues near 2^31 sum past 2^63 unless each is
+        # reduced first
+        p = PRIME_LIMIT - 1
+        X = np.full((3, 2, 2), p - 1, dtype=np.int64)
+        w = np.full(3, p - 1, dtype=np.int64)
+        assert _at_matrices(w, X, p).tolist() == [[3, 3], [3, 3]]
+
+
+def _fattened(ring, pt, kind):
+    """The fat point m_pt^2 (length 3) or a double point (length 2) at pt."""
+    point = point_ideal(ring, pt)
+    if kind == "fat":
+        return ideal_product(point, point)
+    l1, l2 = point.gens
+    return Ideal(ring, [l1, l2 * l2])
+
+
+def _agreement_cases(ring):
+    """Reduced sets of 1-6 random points, their symbolic squares, each set
+    of two or more with one point made fat or doubled, and the fixed cases
+    of TestReducedness."""
+    rng = random.Random(ring.p % 1000 + 7)
+    for count in range(1, 7):
+        pts = [oracles.random_projective_point(ring, rng) for _ in range(count)]
+        meet = _points_ideal(ring, pts)
+        yield meet
+        yield symbolic_square(meet)
+        if count > 1:
+            for kind in ("fat", "double"):
+                rest = _points_ideal(ring, pts[1:])
+                yield intersect(rest, _fattened(ring, pts[0], kind))
+    yield Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"])
+    yield _random_points_ideal(ring, random.Random(47), 5)
+    yield Ideal.parse(ring, ["x1^2", "x1*x2", "x2^2"])
+    yield Ideal.parse(ring, ["x1", "x2^2"])
+    yield symbolic_square(Ideal.parse(ring, ["x0*x1", "x0*x2", "x1*x2"]))
+
+
+class TestCertificateAgreement:
+    """points_are_reduced against the projection certificate it replaced."""
+
+    @pytest.mark.parametrize("p", [32003, 7, 11, PRIME_LIMIT - 1])
+    def test_same_report_as_projection(self, p):
+        # at 2^31 - 1 a product of residues summed before its reduction
+        # overflows int64 and certifies nothing
+        ring = Ring("x0,x1,x2", p)
+        verdicts = set()
+        for ideal in _agreement_cases(ring):
+            for seed in range(3):
+                got = points_are_reduced(ideal, seed=seed)
+                want = oracles.projection_certificate(ideal, seed=seed)
+                assert got.as_dict() == want.as_dict(), (str(ideal), seed)
+                verdicts.add(got.reduced)
+        assert verdicts == {True, False}
+
+    def test_reads_degree_r_plus_one_only(self, ring, monkeypatch):
+        # delta = 5 general points: HF = 1, 3, 5, so r = 2, and the
+        # certificate slices the ideal in degree 3, never in degree delta
+        ideal = _random_points_ideal(ring, random.Random(47), 5)
+        degrees = []
+        real = ideals._degree_slice
+
+        def spy(gb, degree):
+            degrees.append(degree)
+            return real(gb, degree)
+
+        def refused(*args):
+            raise AssertionError("the certificate takes no nullspace")
+
+        monkeypatch.setattr(ideals, "_degree_slice", spy)
+        monkeypatch.setattr(linalg, "nullspace", refused)
+        assert points_are_reduced(ideal).reduced
+        assert degrees == [3]

@@ -78,10 +78,12 @@ class TestRingConstruction:
         assert Ring("x0,x1").cap == nodal.DEFAULT_DEGREE_CAP == 40
         assert groebner.DEFAULT_DEGREE_CAP == 40
         assert Ring("x0,x1", cap=255).cap == 255
+        assert Ring("x0,x1", cap=0).cap == 0
         assert default_ring(32003, 39).cap == 39
         assert parse_fixture(TWO_LINES_FIXTURE, None, 39).ring.cap == 39
         for build in (
             lambda: Ring("x0,x1", cap=256),
+            lambda: Ring("x0,x1", cap=-1),
             lambda: default_ring(32003, 256),
             lambda: parse_fixture(TWO_LINES_FIXTURE, None, 256),
         ):
