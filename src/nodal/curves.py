@@ -17,7 +17,7 @@ certificate, and retry with a fresh derived seed up to a budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,20 @@ class CurveComponent:
     The hint, when present, is the saturated conductor ideal of this
     component alone (the unit ideal for a smooth component).  Fixtures for
     curves with cusps reuse the slot for the reduced singular-point ideal.
+
+    `_conductors` keeps, per seed, the conductor that `_component_conductor`
+    computed by the nodal route, so every statement on a curve, and every
+    curve built from the same component objects, computes it once.  The
+    memo dies with the component; callers must not mutate the ideals it
+    hands out.
     """
 
     form: Polynomial
     degree: int
     conductor_hint: Ideal | None = None
+    _conductors: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_form(cls, form: Polynomial, hint: Ideal | None = None):
@@ -82,6 +91,11 @@ class CurveSpec:
     is cheap: a conic component is a pair of lines exactly when its Jacobian
     ideal has codimension below 3, since the partials of a conic are the rows
     of its symmetric matrix, and such a conic is refused.
+
+    `_reports` keeps, per seed, the `ConductorReport` of
+    `conductor_from_components`, so the statements on one curve compute it
+    once.  The memo dies with the curve; callers must not mutate the reports
+    it hands out (they are frozen) or the ideals inside them.
     """
 
     __slots__ = (
@@ -90,6 +104,7 @@ class CurveSpec:
         "ring",
         "total_form",
         "degree",
+        "_reports",
     )
 
     def __init__(self, components, *, components_certified=True):
@@ -131,6 +146,7 @@ class CurveSpec:
         self.ring = ring
         self.total_form = total
         self.degree = total.homogeneous_degree()
+        self._reports = {}
 
     @classmethod
     def from_forms(cls, forms, *, components_certified=True):
@@ -149,7 +165,7 @@ class CurveSpec:
         return g
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConductorReport:
     """Conductor ideal of a curve with its numerical invariants attached."""
 
@@ -243,10 +259,13 @@ def conductor_nodal(F: Polynomial, seed: int = 0) -> ConductorReport:
 
 
 def _component_conductor(comp: CurveComponent, seed: int) -> Ideal:
-    """Conductor of one component alone: its hint, else the nodal route."""
+    """Conductor of one component alone: its hint, else the nodal route,
+    computed once per seed and kept on the component."""
     if comp.conductor_hint is not None:
         return comp.conductor_hint
-    return conductor_nodal(comp.form, seed).conductor
+    if seed not in comp._conductors:
+        comp._conductors[seed] = conductor_nodal(comp.form, seed).conductor
+    return comp._conductors[seed]
 
 
 def _blend(spec: CurveSpec, hints) -> Ideal:
@@ -265,15 +284,19 @@ def conductor_from_components(spec: CurveSpec, seed: int = 0) -> ConductorReport
     Sums each component's own conductor times the product of the other
     forms, then saturates.  Component conductors come from supplied hints
     or, failing that, from the nodal route on the component alone; smooth
-    components contribute their complementary product itself.
+    components contribute their complementary product itself.  The report
+    is computed once per seed and kept on the spec (`CurveSpec._reports`).
     """
+    if seed in spec._reports:
+        return spec._reports[seed]
     hints = [_component_conductor(c, seed) for c in spec.components]
     blended = _blend(spec, hints)
     if len(spec.components) == 1 and spec.components[0].conductor_hint is not None:
         route = "hint"
     else:
         route = "component-product"
-    return _fill_report(blended, spec.degree, route)
+    spec._reports[seed] = _fill_report(blended, spec.degree, route)
+    return spec._reports[seed]
 
 
 def intersection_points_ideal(spec: CurveSpec) -> Ideal:

@@ -366,9 +366,14 @@ def _holding(gb: GroebnerBasis) -> Ideal:
 def saturate_irrelevant(a: Ideal) -> Ideal:
     """Saturation with respect to m = (x_0, ..., x_{n-1}) by basis divide-out.
 
-    Requires homogeneous input.  For each variable x_i in turn, the reduced
-    basis of I ordered with x_i cheapest is divided by x_i wherever it can
-    be, which realises J = I : x_i^∞ in one pass (see the module docstring).
+    Requires homogeneous input.  The variables are tried in the order
+    x_{n-1}, x_0, ..., x_{n-2}.  For each, the reduced basis of I ordered with
+    x_i cheapest is divided by x_i wherever it can be, which realises
+    J = I : x_i^∞ in one pass (see the module docstring).  The order with
+    x_{n-1} cheapest is the ring's grevlex order itself, whose basis callers
+    already hold (`codimension`, `Ideal.contains`, the ideal's own bases), and
+    in generic coordinates x_{n-1} settles the saturation, so no rotated basis
+    is computed beside it.
     - If nothing divides out, I = J is stable under the colon by x_i, so it
       is already saturated.  It is returned with its grevlex basis, under
       which the rotated bases computed so far are cached too, so saturating
@@ -396,13 +401,13 @@ def saturate_irrelevant(a: Ideal) -> Ideal:
     n = ring.nvars
     rotated = []
     parts = []
-    for var in range(n):
+    for var in (n - 1, *range(n - 1)):
         gb = a.gb(_rotated_grevlex(n, var))
         rotated.append(gb)
         stripped, changed = _divide_out(gb, var)
         if not changed:
             basis = a.gb()
-            for gb in rotated:
+            for gb in rotated[1:]:  # rotated[0] is the grevlex basis itself
                 _store_basis(gb, basis.elements)
             return _holding(basis)
         colon = Ideal(ring, stripped)

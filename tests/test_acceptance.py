@@ -466,7 +466,7 @@ def test_criterion_10_engine_property_suites():
     elapsed = time.perf_counter() - t0
     _accept(
         10,
-        not failures and elapsed < 6.0,
+        not failures and elapsed < 4.0,
         f"span oracle x20, resolution invariants, 50 saturation round-trips, "
-        f"second-prime agreement {failures or ''}({elapsed:.1f}s < 6s)",
+        f"second-prime agreement {failures or ''}({elapsed:.1f}s < 4s)",
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nodal import Ring, cli, groebner, ideals
+from nodal import Ring, cli, curves, groebner, ideals, validators
 from nodal.cli import main
 from nodal.report import VerdictReport
 from nodal.validators import STATEMENTS
@@ -445,6 +445,58 @@ class TestCorpus:
         assert computed and set(computed.values()) == {1}
         # entries asked again found their numerator
         assert sum(asked.values()) > len(computed)
+
+    def test_conductors_computed_once_per_curve_and_seed(self, monkeypatch, capsys):
+        # a warm two-prime pass at seed 0: a component's conductor and a
+        # curve's report are computed once per seed, and the pass makes at
+        # most 514 engine runs (690 before saturation tried x2 first and
+        # curves kept their conductors)
+        def two_primes():
+            for prime in ("32003", "32009"):
+                args = ["corpus", str(FIXTURES), "--json", "--prime", prime]
+                assert main(args + ["--seed", "0"]) == 0
+            capsys.readouterr()
+
+        two_primes()
+        runs = []
+        nodal_calls = []  # (form, seed): the forms are held, so ids stay unique
+        handed = collections.defaultdict(list)  # (spec, seed) -> reports
+        filled = []
+        engine, nodal, fill = (
+            groebner._macaulay_engine, curves.conductor_nodal, curves._fill_report
+        )
+
+        def counted_engine(*args, **kwargs):
+            runs.append(args)
+            return engine(*args, **kwargs)
+
+        def counted_nodal(F, seed=0):
+            nodal_calls.append((F, seed))
+            return nodal(F, seed)
+
+        def counted_fill(conductor, d, route):
+            if route != "jacobian-saturation":
+                filled.append(route)
+            return fill(conductor, d, route)
+
+        def recording(spec, seed=0):
+            rep = curves.conductor_from_components(spec, seed)
+            handed[spec, seed].append(rep)
+            return rep
+
+        monkeypatch.setattr(groebner, "_macaulay_engine", counted_engine)
+        # inside curves only `_component_conductor` calls the nodal route on
+        # a fixture; the statements call it by their own imported name
+        monkeypatch.setattr(curves, "conductor_nodal", counted_nodal)
+        monkeypatch.setattr(curves, "_fill_report", counted_fill)
+        monkeypatch.setattr(validators, "conductor_from_components", recording)
+        two_primes()
+        forms = collections.Counter((id(F), seed) for F, seed in nodal_calls)
+        assert forms and set(forms.values()) == {1}
+        assert all(r is reps[0] for reps in handed.values() for r in reps)
+        assert max(len(reps) for reps in handed.values()) > 1
+        assert len(filled) == len(handed)
+        assert len(runs) <= 514
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 """Curve layer: conductor routes, certificates, constructions, fixtures."""
+import dataclasses
 import random
 from pathlib import Path
 
@@ -272,6 +273,72 @@ class TestTwoRoutes:
         rep = conductor_from_components(CurveSpec([comp]))
         assert rep.route == "hint"
         assert rep.delta == 1
+
+
+class TestKeptConductors:
+    """A curve keeps its report and a component its conductor, per seed."""
+
+    @staticmethod
+    def _counted_nodal(monkeypatch):
+        forms = []
+        nodal = curves.conductor_nodal
+
+        def counted(F, seed=0):
+            forms.append(F)
+            return nodal(F, seed)
+
+        monkeypatch.setattr(curves, "conductor_nodal", counted)
+        return forms
+
+    def _cubic_plus_line(self, ring):
+        return CurveSpec.from_forms(
+            [ring.parse("x1^2*x2 - x0^2*x2 - x0^3"), ring.parse("x0 + x1 + 17*x2")]
+        )
+
+    def test_same_seed_same_report(self, ring, monkeypatch):
+        spec = self._cubic_plus_line(ring)
+        forms = self._counted_nodal(monkeypatch)
+        first = conductor_from_components(spec, 0)
+        assert len(forms) == 2
+        assert conductor_from_components(spec, 0) is first
+        assert len(forms) == 2
+
+    def test_second_seed_recomputes(self, ring, monkeypatch):
+        spec = self._cubic_plus_line(ring)
+        forms = self._counted_nodal(monkeypatch)
+        first = conductor_from_components(spec, 0)
+        other = conductor_from_components(spec, 1)
+        assert other is not first
+        assert other.as_dict() == first.as_dict()
+        assert len(forms) == 4
+        assert conductor_from_components(spec, 1) is other
+        assert conductor_from_components(spec, 0) is first
+        assert len(forms) == 4
+
+    def test_curve_of_the_same_components_shares_their_conductors(
+        self, ring, monkeypatch
+    ):
+        # the `rest` curve of the component sequence reuses the objects
+        spec = self._cubic_plus_line(ring)
+        conductor_from_components(spec, 0)
+        forms = self._counted_nodal(monkeypatch)
+        rest = CurveSpec(spec.components[:1])
+        rep = conductor_from_components(rest, 0)
+        assert forms == []
+        assert rep.delta == 1
+
+    def test_report_is_frozen(self, ring):
+        rep = conductor_from_components(self._cubic_plus_line(ring), 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.delta = 0
+
+    def test_memo_leaves_component_equality_and_repr(self, ring):
+        spec = self._cubic_plus_line(ring)
+        before = repr(spec.components[0])
+        conductor_from_components(spec, 0)
+        comp = spec.components[0]
+        assert repr(comp) == before
+        assert comp == CurveComponent.from_form(comp.form)
 
 
 class TestSingularSet:

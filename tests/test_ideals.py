@@ -474,9 +474,9 @@ class TestSaturation:
         assert saturate(a).is_unit()
 
     def test_resaturating_computes_no_basis(self, ring, monkeypatch):
-        # generic points: x0 strips nothing, so the saturation returns the
-        # grevlex basis, and the rotated basis it read is cached under it; a
-        # redundant generator keeps that basis apart from the input generators
+        # generic points: x2, tried first, strips nothing, so the saturation
+        # returns the grevlex basis it read; a redundant generator keeps that
+        # basis apart from the input generators
         meet = _random_points_ideal(ring, random.Random(59), 4)
         sat = saturate(Ideal(ring, meet.gens + (meet.gens[0] * ring.gen(0),)))
         runs = []
@@ -490,6 +490,32 @@ class TestSaturation:
         again = saturate(sat)
         assert runs == []
         assert again.same_ideal(meet)
+
+    def test_saturated_ideal_holding_its_basis_runs_no_engine(self, ring, monkeypatch):
+        # generic points: the grevlex order has x2 cheapest, so the held basis
+        # is the one the first divide-out reads, and nothing divides out
+        meet = _random_points_ideal(ring, random.Random(61), 5)
+        meet.gb()
+        runs = _count_engine_runs(monkeypatch)
+        sat = saturate(meet)
+        assert runs == []
+        monkeypatch.undo()
+        assert sat.same_ideal(meet)
+
+    def test_settled_by_the_last_variable_is_one_engine_run(self, ring, monkeypatch):
+        # junk on generic points: the divide-out by x2 reads the held grevlex
+        # basis and settles the saturation; the only run is the colon's basis
+        pts = _random_points_ideal(ring, random.Random(67), 4)
+        junk = ideal_product(pts, irrelevant_ideal(ring))
+        junk.gb()
+        divided, meets = self._count_routes(monkeypatch)
+        runs = _count_engine_runs(monkeypatch)
+        sat = saturate(junk)
+        assert len(runs) <= 1
+        assert divided == [2]
+        assert meets == []
+        monkeypatch.undo()
+        assert sat.same_ideal(pts)
 
     @staticmethod
     def _count_routes(monkeypatch):
@@ -516,12 +542,12 @@ class TestSaturation:
         return meet, ideal_product(meet, irrelevant_ideal(ring))
 
     def test_point_on_one_line_settles_at_the_next_variable(self, ring, monkeypatch):
-        # the colon by x0 loses the point on x0 = 0, so the Hilbert
-        # polynomial drops; the colon by x1 keeps it and is the saturation
-        pts, junk = self._points_with_junk(ring, [(1, 2, 3), (1, 5, 7), (0, 1, 2)])
+        # the colon by x2 loses the point on x2 = 0, so the Hilbert
+        # polynomial drops; the colon by x0 keeps it and is the saturation
+        pts, junk = self._points_with_junk(ring, [(1, 2, 3), (1, 5, 7), (1, 2, 0)])
         divided, meets = self._count_routes(monkeypatch)
         sat = saturate(junk)
-        assert divided == [0, 1]
+        assert divided == [2, 0]
         assert meets == []
         assert sat.same_ideal(pts)
 
@@ -529,7 +555,7 @@ class TestSaturation:
         pts, junk = self._points_with_junk(ring, [(0, 1, 2), (1, 0, 3), (1, 4, 0)])
         divided, meets = self._count_routes(monkeypatch)
         sat = saturate(junk)
-        assert divided == [0, 1, 2]
+        assert divided == [2, 0, 1]
         assert len(meets) == 2
         assert sat.same_ideal(pts)
 
